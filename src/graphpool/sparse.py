@@ -24,6 +24,7 @@ __all__ = [
     "is_symmetric",
     "ones_pattern",
     "row_indices",
+    "row_sums",
     "select_cols",
     "select_rows_cols",
     "spgemm",
@@ -207,17 +208,52 @@ def spgemm(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
     return CsrMatrix.from_coo(a.n_rows, b.n_cols, out_rows, out_cols, out_vals)
 
 
+def row_sums(row_ptr: np.ndarray, block: np.ndarray, take=None, weights=None) -> np.ndarray:
+    """Sum the entries of each CSR row of a 2-D block.
+
+    Row r owns entries ``p`` in ``row_ptr[r] .. row_ptr[r + 1] - 1``.  Entry
+    ``p`` is the block row ``block[take[p]]`` (``block[p]`` when take is None),
+    scaled by ``weights[p]`` when weights are given.  Result row r is the sum
+    of row r's entries; a row with no entries is zero.
+
+    Summation order: every row is summed as ``0 + e0 + e1 + ...`` in stored
+    order, the order of an unbuffered in-order scatter-add, so results match
+    one bit for bit.
+
+    Cost: pass k adds entry ``row_ptr[r] + k`` of every row longer than k in
+    one vectorized fancy-index add.  Python loops as many times as the
+    longest row has entries; one sort of the row lengths comes on top.
+    """
+    counts = np.diff(row_ptr)
+    out = np.zeros((counts.size, block.shape[1]))
+    if counts.size == 0:
+        return out
+    by_len = np.argsort(counts, kind="stable")
+    starts = row_ptr[by_len]
+    # rows longer than k are the suffix by_len[first[k]:]
+    first = np.searchsorted(counts[by_len], np.arange(counts.max()), side="right")
+    for k, lo in enumerate(first):
+        pos = starts[lo:] + k
+        entry = block[pos if take is None else take[pos]]
+        if weights is not None:
+            entry = weights[pos][:, None] * entry
+        out[by_len[lo:]] += entry
+    return out
+
+
 def spmm(a: CsrMatrix, x) -> np.ndarray:
-    """Sparse-dense product a @ x for a 2-D float array x."""
+    """Sparse-dense product a @ x for a 2-D float array x.
+
+    Fused over :func:`row_sums`, so no nnz x width product array is built.
+    Row i is ``0 + a[i, j0] * x[j0] + a[i, j1] * x[j1] + ...`` in stored
+    (column) order; Python passes equal the longest row's entry count.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("dense operand must be two-dimensional")
     if a.n_cols != x.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {x.shape}")
-    out = np.zeros((a.n_rows, x.shape[1]))
-    if a.nnz:
-        np.add.at(out, row_indices(a), a.values[:, None] * x[a.col_idx])
-    return out
+    return row_sums(a.row_ptr, x, take=a.col_idx, weights=a.values)
 
 
 def transpose(a: CsrMatrix) -> CsrMatrix:

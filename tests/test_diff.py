@@ -121,6 +121,43 @@ class TestBackwardMechanics:
         backward(loss)
         assert w.tensor.grad[0, 0] == 2.0
 
+    def test_reused_inputs_get_analytic_gradients_in_fresh_arrays(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(3, 2)))
+        y = Tensor(rng.normal(size=(4, 2)))
+        idx_a, idx_b = np.array([2, 0, 2]), np.array([1, 1, 3])
+        w = rng.normal(size=(3, 2))
+        with Tape():
+            doubled = diff.add(x, x)
+            squared = diff.mul(x, x)
+            sum_xx = diff.add(doubled, squared)
+            gathered = diff.add(diff.gather_rows(y, idx_a), diff.gather_rows(y, idx_b))
+            both = diff.add(sum_xx, gathered)
+            loss = diff.sum_all(diff.mul(both, constant(w)))
+        backward(loss)
+        assert np.allclose(x.grad, w * (2.0 + 2.0 * x.values))
+        expected_y = np.zeros_like(y.values)
+        for i, (ra, rb) in enumerate(zip(idx_a, idx_b)):
+            expected_y[ra] += w[i]
+            expected_y[rb] += w[i]
+        assert np.allclose(y.grad, expected_y)
+        tensors = [x, y, doubled, squared, sum_xx, gathered, both, loss]
+        grads = [t.grad for t in tensors]
+        for i, gi in enumerate(grads):
+            for gj in grads[i + 1 :]:
+                assert not np.shares_memory(gi, gj)
+
+    def test_segment_max_tie_sends_gradient_to_first_max_row(self):
+        x = Tensor([[1.0, 4.0], [3.0, 4.0], [3.0, 2.0], [5.0, 5.0], [5.0, -1.0]])
+        with Tape():
+            out = diff.segment_max(x, [0, 0, 0, 1, 1])
+            loss = diff.sum_all(diff.mul(out, constant([[10.0, 20.0], [30.0, 40.0]])))
+        backward(loss)
+        assert np.array_equal(out.values, [[3.0, 4.0], [5.0, 5.0]])
+        assert np.array_equal(
+            x.grad, [[0.0, 20.0], [10.0, 0.0], [0.0, 0.0], [30.0, 40.0], [0.0, 0.0]]
+        )
+
     def test_tapes_are_per_thread(self):
         import threading
 
