@@ -220,24 +220,41 @@ def row_sums(row_ptr: np.ndarray, block: np.ndarray, take=None, weights=None) ->
     order, the order of an unbuffered in-order scatter-add, so results match
     one bit for bit.
 
-    Cost: pass k adds entry ``row_ptr[r] + k`` of every row longer than k in
-    one vectorized fancy-index add.  Python loops as many times as the
-    longest row has entries; one sort of the row lengths comes on top.
+    Cost: slot pass k < K adds entry ``row_ptr[r] + k`` of every row longer
+    than k in one vectorized fancy-index add.  Each row still longer than K
+    then finishes with one in-order ``np.add.reduce`` over its remaining
+    entries.  K minimises the Python iterations, K plus the number of rows
+    longer than K, so they never exceed the longest row's entry count nor
+    the number of non-empty rows: many short rows take slot passes, a hub
+    row or a long segment takes one reduce.
     """
     counts = np.diff(row_ptr)
     out = np.zeros((counts.size, block.shape[1]))
-    if counts.size == 0:
+    if counts.size == 0 or row_ptr[-1] == row_ptr[0]:
         return out
     by_len = np.argsort(counts, kind="stable")
     starts = row_ptr[by_len]
     # rows longer than k are the suffix by_len[first[k]:]
-    first = np.searchsorted(counts[by_len], np.arange(counts.max()), side="right")
-    for k, lo in enumerate(first):
-        pos = starts[lo:] + k
+    first = np.searchsorted(counts[by_len], np.arange(counts.max() + 1), side="right")
+    n_pass = int(np.argmin(np.arange(first.size) + (counts.size - first)))
+
+    def entries(pos):
         entry = block[pos if take is None else take[pos]]
-        if weights is not None:
-            entry = weights[pos][:, None] * entry
-        out[by_len[lo:]] += entry
+        return entry if weights is None else weights[pos][:, None] * entry
+
+    for k in range(n_pass):
+        lo = first[k]
+        out[by_len[lo:]] += entries(starts[lo:] + k)
+    for r in by_len[first[n_pass]:]:
+        # a fresh C-ordered copy: numpy reduces along a slow axis by plain
+        # in-order addition and uses pairwise summation only along the fast
+        # axis, which a single column has, so that case accumulates instead
+        tail = entries(np.arange(row_ptr[r] + n_pass, row_ptr[r + 1]))
+        tail[0] += out[r]
+        if tail.shape[1] > 1:
+            out[r] = np.add.reduce(tail, axis=0)
+        else:
+            out[r] = np.add.accumulate(tail, axis=0)[-1]
     return out
 
 
@@ -246,7 +263,8 @@ def spmm(a: CsrMatrix, x) -> np.ndarray:
 
     Fused over :func:`row_sums`, so no nnz x width product array is built.
     Row i is ``0 + a[i, j0] * x[j0] + a[i, j1] * x[j1] + ...`` in stored
-    (column) order; Python passes equal the longest row's entry count.
+    (column) order.  Python iterations are at most the longest row's entry
+    count and at most the number of non-empty rows (see :func:`row_sums`).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:

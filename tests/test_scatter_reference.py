@@ -57,6 +57,31 @@ def _unsorted_indices(rng):
     }
 
 
+@pytest.mark.parametrize("width", [1, 7])
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        [3, 1, 2, 0, 3, 2, 1, 3],  # slot passes only
+        [700],  # one accumulate only
+        [2, 1, 3, 0, 2] * 12 + [400],  # passes, then the hub row carries on
+        [620, 350] + [15] * 30,  # long segments among short ones
+    ],
+    ids=["passes", "accumulate", "hub-carry", "long-segments"],
+)
+def test_row_sums_matches_add_at(lengths, width):
+    rng = np.random.default_rng(40)
+    lengths = np.array(lengths + [2])  # the last row holds only -0.0
+    row_ptr = np.concatenate([[0], np.cumsum(lengths)])
+    rows = np.repeat(np.arange(lengths.size), lengths)
+    # magnitudes 1e-8..1e8, so a pairwise or reordered sum shows in the bits
+    block = rng.normal(size=(rows.size, width)) * 10.0 ** rng.integers(-8, 9, size=(rows.size, 1))
+    block[row_ptr[-2]:] = -0.0  # sums to +0.0, as 0 + -0 + -0 does
+    out = sparse.row_sums(row_ptr, block)
+    ref = add_at_rows(lengths.size, rows, block)
+    assert np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
 @pytest.mark.parametrize("case", ["empty-rows", "hub-row", "nnz-0", "one-row"])
 def test_spmm_matches_add_at(case):
     rng = np.random.default_rng(41)
