@@ -105,16 +105,26 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of everything the recorded loss depends on."""
+    """Populate gradients of everything the recorded loss depends on.
+
+    The tape is emptied before the replay: every recorded tensor refers to
+    its tape, so entries left on it would form a reference cycle that keeps
+    the step's intermediates alive until the cyclic collector runs.  Once
+    backward returns they are freed by reference counting, and a second
+    backward on the same tape raises.
+    """
     if loss.tape is None:
         raise RuntimeError("backward requires a loss recorded on an active tape")
     if loss.shape != (1, 1):
         raise ValueError(f"loss must be a 1x1 scalar, got shape {loss.shape}")
+    entries, loss.tape._entries = loss.tape._entries, []
+    if not entries:
+        raise RuntimeError("backward was already run on this tape")
     loss.grad = np.ones((1, 1))
-    for out, rule in reversed(loss.tape._entries):
-        if out.grad is None:
-            continue
-        rule(out.grad)
+    while entries:
+        out, rule = entries.pop()
+        if out.grad is not None:
+            rule(out.grad)
 
 
 def constant(values) -> Tensor:
@@ -324,6 +334,31 @@ def spmm_const(a: CsrMatrix, x: Tensor) -> Tensor:
 
     def rule(g):
         _accumulate(x, sparse.spmm(sparse.transpose(a), g))
+
+    return _record(out, rule)
+
+
+def edge_relu_sum(q: Tensor, p: Tensor, a: CsrMatrix) -> Tensor:
+    """Row i is the sum of relu(q[i] - p[k]) over the stored entries (i, k) of a.
+
+    Only a's pattern is read.  One nnz x width difference array is built and
+    each row is summed in stored order (see :func:`sparse.row_sums`).
+    """
+    if q.rows != a.n_rows or p.rows != a.n_cols or q.cols != p.cols:
+        raise ValueError(f"edge_relu_sum shape mismatch: {q.shape}, {p.shape} on {a.shape}")
+    rows = sparse.row_indices(a)
+    diffs = q.values[rows]
+    diffs -= p.values[a.col_idx]
+    mask = diffs > 0
+    np.maximum(diffs, 0.0, out=diffs)
+    out = Tensor(sparse.row_sums(a.row_ptr, diffs))
+
+    def rule(g):
+        g_edge = g[rows]
+        g_edge *= mask
+        _accumulate(q, sparse.row_sums(a.row_ptr, g_edge))
+        g_p = _index_sum(g_edge, a.col_idx, a.n_cols)
+        _accumulate(p, np.negative(g_p, out=g_p))
 
     return _record(out, rule)
 

@@ -260,6 +260,20 @@ def _primitive_cases(rng):
             diff.mul(diff.gather_rows(g1, edge_idx), edge_w), edge_idx, 5), node_w)),
         [g1],
     ))
+    # Asymmetric pattern: rows 2 and 4 are empty, node 4 is only a column,
+    # node 5 only a row.  Own generator; the smallest stored difference
+    # q[i] - p[k] of this draw is 0.065, far from the relu kink.
+    relu_rng = np.random.default_rng(11)
+    pattern = CsrMatrix.from_coo(
+        6, 6, [0, 0, 1, 1, 1, 3, 5, 5], [1, 4, 0, 3, 4, 1, 0, 3], np.ones(8))
+    edge_q = Tensor(relu_rng.normal(size=(6, 3)))
+    edge_p = Tensor(relu_rng.normal(size=(6, 3)))
+    relu_w = diff.constant(relu_rng.normal(size=(6, 3)))
+    cases.append((
+        "edge_relu_sum",
+        lambda: diff.sum_all(diff.mul(diff.edge_relu_sum(edge_q, edge_p, pattern), relu_w)),
+        [edge_q, edge_p],
+    ))
     adj = random_adjacency(np.random.default_rng(7), 5, p=0.5)
     s1 = Tensor(rng.normal(size=(5, 2)))
     p_s = proj((5, 2))

@@ -220,41 +220,47 @@ def row_sums(row_ptr: np.ndarray, block: np.ndarray, take=None, weights=None) ->
     order, the order of an unbuffered in-order scatter-add, so results match
     one bit for bit.
 
-    Cost: slot pass k < K adds entry ``row_ptr[r] + k`` of every row longer
-    than k in one vectorized fancy-index add.  Each row still longer than K
-    then finishes with one in-order ``np.add.reduce`` over its remaining
-    entries.  K minimises the Python iterations, K plus the number of rows
-    longer than K, so they never exceed the longest row's entry count nor
-    the number of non-empty rows: many short rows take slot passes, a hub
-    row or a long segment takes one reduce.
+    Cost: partial sums are kept in order of row length, so the rows longer
+    than k are one contiguous suffix.  Slot pass k < K adds entry
+    ``row_ptr[r] + k`` of each of those rows with one fancy-index gather and
+    one contiguous add.  Each row still longer than K then finishes with one
+    in-order ``np.add.reduce`` over its remaining entries, and one scatter
+    puts the rows back in place.  K minimises the Python iterations, K plus
+    the number of rows longer than K, so they never exceed the longest row's
+    entry count nor the number of non-empty rows: many short rows take slot
+    passes, a hub row or a long segment takes one reduce.
     """
     counts = np.diff(row_ptr)
-    out = np.zeros((counts.size, block.shape[1]))
     if counts.size == 0 or row_ptr[-1] == row_ptr[0]:
-        return out
+        return np.zeros((counts.size, block.shape[1]))
     by_len = np.argsort(counts, kind="stable")
-    starts = row_ptr[by_len]
+    starts, ends = row_ptr[by_len], row_ptr[by_len + 1]
     # rows longer than k are the suffix by_len[first[k]:]
-    first = np.searchsorted(counts[by_len], np.arange(counts.max() + 1), side="right")
+    first = np.searchsorted(ends - starts, np.arange(counts.max() + 1), side="right")
     n_pass = int(np.argmin(np.arange(first.size) + (counts.size - first)))
 
     def entries(pos):
         entry = block[pos if take is None else take[pos]]
-        return entry if weights is None else weights[pos][:, None] * entry
+        if weights is not None:
+            entry *= weights[pos][:, None]
+        return entry
 
+    acc = np.zeros((counts.size, block.shape[1]))
     for k in range(n_pass):
         lo = first[k]
-        out[by_len[lo:]] += entries(starts[lo:] + k)
-    for r in by_len[first[n_pass]:]:
+        acc[lo:] += entries(starts[lo:] + k)
+    for j in range(first[n_pass], counts.size):
         # a fresh C-ordered copy: numpy reduces along a slow axis by plain
         # in-order addition and uses pairwise summation only along the fast
         # axis, which a single column has, so that case accumulates instead
-        tail = entries(np.arange(row_ptr[r] + n_pass, row_ptr[r + 1]))
-        tail[0] += out[r]
+        tail = entries(np.arange(starts[j] + n_pass, ends[j]))
+        tail[0] += acc[j]
         if tail.shape[1] > 1:
-            out[r] = np.add.reduce(tail, axis=0)
+            acc[j] = np.add.reduce(tail, axis=0)
         else:
-            out[r] = np.add.accumulate(tail, axis=0)[-1]
+            acc[j] = np.add.accumulate(tail, axis=0)[-1]
+    out = np.empty_like(acc)
+    out[by_len] = acc
     return out
 
 

@@ -184,6 +184,31 @@ class TestBackwardMechanics:
             t.join()
         assert not failures
 
+    def test_backward_frees_intermediates_without_the_cyclic_collector(self):
+        import gc
+        import weakref
+
+        w = Parameter("w", np.random.default_rng(4).normal(size=(3, 2)))
+        x = constant(np.ones((4, 3)))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with Tape() as tape:
+                hidden = diff.relu(diff.matmul(x, w.tensor))
+                loss = diff.sum_all(hidden)
+            # the intermediate's value array; Tensor has slots and no weakref slot
+            hidden_ref = weakref.ref(hidden.values)
+            del hidden
+            backward(loss)
+            assert hidden_ref() is None
+            assert len(tape) == 0
+            assert w.tensor.grad is not None
+            with pytest.raises(RuntimeError):
+                backward(loss)
+        finally:
+            if was_enabled:
+                gc.enable()
+
 
 class TestFiniteDifferences:
     def test_random_dense_case(self):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import cycle, path4, random_adjacency_dense
-from graphpool import diff, sparse
-from graphpool.diff import Parameter, constant
+from graphpool import dataset, diff, harness, pooling, sparse
+from graphpool.diff import Parameter, Tape, Tensor, backward, constant
 from graphpool.layers import (
     GcnConv,
     GraphConv,
@@ -164,6 +164,127 @@ class TestLcsmp:
 
         tensors = [p.tensor for p in scorer.parameters()]
         assert gradient_max_rel_err(builder, tensors) < 1e-4
+
+
+def reference_pre_softmax(scorer, x, a):
+    """Lcsmp written literally: relu(L_d(x_i - x_k)) on every gathered edge row,
+    summed into node i, then L_fd, L_x and L_s as in the layer."""
+    targets = sparse.row_indices(a)
+    diffs = diff.sub(diff.gather_rows(x, targets), diff.gather_rows(x, a.col_idx))
+    messages = diff.relu(scorer.l_diff(diffs))
+    agg = diff.scatter_sum(messages, targets, x.rows)
+    hidden = diff.add(diff.relu(scorer.l_agg(agg)), diff.relu(scorer.l_self(x)))
+    return scorer.l_score(hidden)
+
+
+def rel_err(got, want):
+    """Largest entrywise difference relative to the largest reference entry."""
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def reference_batch(rng, dim):
+    """Random graphs, one with an isolated node, and a 150-leaf hub with chords."""
+    graphs = []
+    for n in (7, 12):
+        a = sparse.from_dense(random_adjacency_dense(rng, n, p=0.4))
+        graphs.append(dataset.Graph(n, rng.normal(size=(n, dim)), a, 0))
+    ad = random_adjacency_dense(rng, 9, p=0.5)
+    ad[8, :] = ad[:, 8] = 0.0
+    graphs.append(dataset.Graph(9, rng.normal(size=(9, dim)), sparse.from_dense(ad), 1))
+    hub = np.zeros((151, 151))
+    hub[0, 1:] = hub[1:, 0] = 1.0
+    leaves = rng.choice(np.arange(1, 151), size=(40, 2))
+    leaves = leaves[leaves[:, 0] != leaves[:, 1]]
+    hub[leaves[:, 0], leaves[:, 1]] = hub[leaves[:, 1], leaves[:, 0]] = 1.0
+    graphs.append(dataset.Graph(151, rng.normal(size=(151, dim)), sparse.from_dense(hub), 1))
+    return dataset.make_batch(graphs)
+
+
+def assert_kept_sets_match_up_to_ties(scorer, x, a, gid, ratio=0.5):
+    """Kept sets of the two routes may differ only by swapping nodes whose
+    reference scores are within one ulp of each other."""
+    ref = diff.segment_softmax(reference_pre_softmax(scorer, x, a), gid)
+    kept_ref = pooling.topk(ref, gid, ratio).indices
+    kept_new = pooling.topk(scorer(x, a, gid), gid, ratio).indices
+    scores = ref.values[:, 0]
+    only_new = np.setdiff1d(kept_new, kept_ref)
+    only_ref = np.setdiff1d(kept_ref, kept_new)
+    for mine, theirs in ((only_new, only_ref), (only_ref, only_new)):
+        for i in mine:
+            partners = theirs[gid[theirs] == gid[i]]
+            gaps = np.abs(scores[partners] - scores[i])
+            ulps = np.spacing(np.maximum(np.abs(scores[partners]), abs(scores[i])))
+            assert np.any(gaps <= ulps), f"node {i} swapped at a gap beyond one ulp"
+
+
+class TestLcsmpMatchesLiteralComposition:
+    """pre_softmax projects node rows once; the literal form projects edge rows."""
+
+    def _scorer(self, rng, dim, hidden):
+        scorer = Lcsmp(dim, rng, "s", hidden=hidden)
+        for p in scorer.parameters():
+            p.tensor.values = 0.5 * rng.normal(size=p.tensor.shape)
+        return scorer
+
+    def test_values_and_gradients(self):
+        rng = np.random.default_rng(14)
+        batch = reference_batch(rng, 6)
+        scorer = self._scorer(rng, 6, 16)
+        proj = constant(rng.normal(size=(batch.x.shape[0], 1)))
+        params = [p.tensor for p in scorer.parameters()]
+        results = []
+        for route in (scorer.pre_softmax, lambda x, a: reference_pre_softmax(scorer, x, a)):
+            x = Tensor(batch.x)
+            for t in params:
+                t.grad = None
+            with Tape():
+                out = route(x, batch.a)
+                loss = diff.sum_all(diff.mul(out, proj))
+            backward(loss)
+            results.append((out.values, x.grad, [t.grad.copy() for t in params]))
+        (got, got_x, got_params), (want, want_x, want_params) = results
+        assert rel_err(got, want) < 1e-12
+        assert rel_err(got_x, want_x) < 1e-10
+        for p, g, w in zip(scorer.parameters(), got_params, want_params):
+            assert rel_err(g, w) < 1e-10, p.name
+
+    def test_kept_sets_on_seeded_graphs(self):
+        rng = np.random.default_rng(16)
+        batch = reference_batch(rng, 6)
+        for _ in range(5):
+            scorer = self._scorer(rng, 6, 16)
+            assert_kept_sets_match_up_to_ties(
+                scorer, constant(batch.x), batch.a, batch.graph_id)
+
+    @pytest.mark.parametrize("pool", ["lcpool", "lcpool_star"])
+    def test_kept_sets_through_training(self, pool):
+        # constant input features make many scores tie mathematically, so
+        # this exercises swaps at rounding ties
+        data = dataset.make_synthetic("two_communities", 32, seed=3)
+        cfg = harness.ModelConfig(pool=pool, hidden=32, pre_mlp=(32,), post_mlp=(32,))
+        model = harness.build_model(cfg, feature_dim=1, num_classes=2, seed=1)
+        opt = diff.Adam(model.parameters(), lr=0.005)
+        calls = []
+        pools = model.pools
+
+        def recorder(p):
+            def record(x, a, gid):
+                calls.append((p, constant(x.values), a, np.asarray(gid)))
+                return p(x, a, gid)
+            return record
+
+        model.pools = [recorder(p) for p in pools]
+        for step in range(6):
+            batch = dataset.make_batch(data.graphs[(step % 2) * 16 : (step % 2 + 1) * 16])
+            with Tape():
+                loss = diff.cross_entropy(model.forward(batch), batch.labels)
+            opt.zero_grad()
+            backward(loss)
+            opt.step()
+            for p, x, a, gid in calls:
+                scored = p.cluster(x, a) if isinstance(p, harness.LcPoolStar) else x
+                assert_kept_sets_match_up_to_ties(p.scorer, scored, a, gid)
+            calls.clear()
 
 
 class TestOneHopLocality:
