@@ -215,7 +215,7 @@ class Model:
             if cfg.backbone == "hierarchical":
                 self.pools.append(_make_pool(cfg, i, rng, f"block{i}.pool", mean_nodes))
         if cfg.backbone == "plain":
-            self.pools.append(_make_pool(cfg, 0, rng, "pool", mean_nodes))
+            self.pools = [None] * (N_BLOCKS - 1) + [_make_pool(cfg, 0, rng, "pool", mean_nodes)]
         self.classifier = Mlp([2 * cfg.hidden, *cfg.post_mlp, num_classes], rng, "post")
         names = [p.name for p in self.parameters()]
         if len(set(names)) != len(names):
@@ -237,22 +237,17 @@ class Model:
         gid = batch.graph_id
         n_graphs = batch.graph_count
         x = diff.relu(self.pre(x))
-        if self.cfg.backbone == "hierarchical":
-            summed = None
-            for conv, pool in zip(self.convs, self.pools):
-                x = diff.relu(conv(x, a))
-                if pool is not None:
-                    result = pool(x, a, gid)
-                    x, a, gid = result.x, result.a, result.graph_id
+        hierarchical = self.cfg.backbone == "hierarchical"
+        summed = None
+        for i, (conv, pool) in enumerate(zip(self.convs, self.pools)):
+            x = diff.relu(conv(x, a))
+            if pool is not None:
+                result = pool(x, a, gid)
+                x, a, gid = result.x, result.a, result.graph_id
+            if hierarchical or i == N_BLOCKS - 1:
                 r = readout(x, gid, n_graphs)
                 summed = r if summed is None else diff.add(summed, r)
-            return self.classifier(summed)
-        for conv in self.convs:
-            x = diff.relu(conv(x, a))
-        if self.pools[0] is not None:
-            result = self.pools[0](x, a, gid)
-            x, a, gid = result.x, result.a, result.graph_id
-        return self.classifier(readout(x, gid, n_graphs))
+        return self.classifier(summed)
 
 
 def build_model(cfg: ModelConfig, feature_dim: int, num_classes: int, seed: int = 0,

@@ -153,23 +153,26 @@ def _pattern_keys(m: CsrMatrix) -> np.ndarray:
     return sparse.row_indices(m) * np.int64(m.n_cols) + m.col_idx
 
 
-def validate_local_assignment(s: CsrMatrix, a: CsrMatrix, strict: bool) -> bool:
-    """Is pattern(s) within (non-strict) or equal to (strict) pattern(I + A)?"""
+def validate_local_assignment(s: CsrMatrix, a: CsrMatrix) -> None:
+    """Raise ValueError naming the first entry of s outside pattern(I + A)."""
     if s.shape != a.shape or s.n_rows != s.n_cols:
         raise ValueError("assignment and adjacency must be square and equal-shaped")
     s_keys = _pattern_keys(s)
-    star_keys = _pattern_keys(sparse.add_self_loops(a))
-    inside = np.isin(s_keys, star_keys)
-    if strict:
-        return bool(inside.all()) and s_keys.size == star_keys.size
-    return bool(inside.all())
+    outside = np.nonzero(~np.isin(s_keys, _pattern_keys(sparse.add_self_loops(a))))[0]
+    if outside.size:
+        i, j = divmod(int(s_keys[outside[0]]), s.n_cols)
+        raise ValueError(
+            f"assignment entry ({i}, {j}) falls outside the self-loop adjacency pattern"
+        )
 
 
-def _first_offender(s: CsrMatrix, a: CsrMatrix) -> tuple[int, int]:
-    s_keys = _pattern_keys(s)
-    star_keys = _pattern_keys(sparse.add_self_loops(a))
-    bad = np.nonzero(~np.isin(s_keys, star_keys))[0][0]
-    return int(s_keys[bad] // s.n_cols), int(s_keys[bad] % s.n_cols)
+def rewire(s: CsrMatrix, a: CsrMatrix, kept: IndexSet) -> CsrMatrix:
+    """Pooled adjacency S_K^T A S_K, S_K the kept columns of the assignment.
+
+    Two kept nodes connect whenever an edge of A joins their contributors.
+    """
+    s_kept = sparse.select_cols(s, kept)
+    return sparse.spgemm(sparse.spgemm(sparse.transpose(s_kept), a), s_kept)
 
 
 def local_assignment_selection_pool(
@@ -178,25 +181,19 @@ def local_assignment_selection_pool(
     """Aggregate features through a local assignment, select, and rewire.
 
     The assignment may place weight only where a node touches itself or a
-    neighbour; the pooled adjacency is S'^T A S' over the kept columns, so
-    pooled nodes connect whenever their contributors do.
+    neighbour; the pooled adjacency is :func:`rewire` over the kept columns,
+    so pooled nodes connect whenever their contributors do.
     """
     gid = np.asarray(graph_id, dtype=np.int64)
     s = assign_fn(x, a)
-    if not validate_local_assignment(s, a, strict=False):
-        i, j = _first_offender(s, a)
-        raise ValueError(
-            f"assignment entry ({i}, {j}) falls outside the self-loop adjacency pattern"
-        )
+    validate_local_assignment(s, a)
     x_star = diff.spmm_const(sparse.transpose(s), x)
     h = score_fn(x_star, a, gid)
     kept = topk(h, gid, ratio)
     gated = diff.broadcast_col(x_star, h)
-    s_kept = sparse.select_cols(s, kept)
-    pooled_a = sparse.spgemm(sparse.spgemm(sparse.transpose(s_kept), a), s_kept)
     return PoolResult(
         x=diff.gather_rows(gated, kept.indices),
-        a=pooled_a,
+        a=rewire(s, a, kept),
         kept=kept,
         scores=h,
         graph_id=gid[kept.indices],
@@ -204,20 +201,15 @@ def local_assignment_selection_pool(
 
 
 def local_cluster_selection_pool(
-    x: Tensor,
-    a: CsrMatrix,
-    cluster_fn,
-    score_fn,
-    ratio: float,
-    graph_id,
-    retain_self_loops: bool = False,
+    x: Tensor, a: CsrMatrix, cluster_fn, score_fn, ratio: float, graph_id
 ) -> PoolResult:
     """Local assignment selection specialized to the full 1-hop pattern.
 
-    When every node contributes to exactly itself and its neighbours, the
-    rewired adjacency is the three-hop closure pattern and no assignment
-    matrix is needed.  Requires unweighted edges; the self-loops produced by
-    the closure are stripped unless ``retain_self_loops`` is set.
+    Every node contributes to exactly itself and its neighbours, so the
+    assignment is the pattern of I + A and no matrix is learned.  The
+    pooled adjacency is the pattern of :func:`rewire` over I + A, which is
+    the three-hop closure ``(I+A)^T A (I+A)`` on the kept nodes, directed
+    or not, with its self-loops stripped.  Requires unweighted edges.
     """
     if a.nnz and np.any(a.values != 1.0):
         raise ValueError("cluster selection requires unweighted edges")
@@ -226,27 +218,17 @@ def local_cluster_selection_pool(
     h = score_fn(x_star, a, gid)
     kept = topk(h, gid, ratio)
     gated = diff.broadcast_col(x_star, h)
-    closure = sparse.hop_closure(a, symmetric=sparse.is_symmetric(a))
-    pooled_a = sparse.select_rows_cols(closure, kept)
-    if not retain_self_loops:
-        pooled_a = sparse.strip_diagonal(pooled_a)
+    pooled_a = rewire(sparse.add_self_loops(a), a, kept)
     return PoolResult(
         x=diff.gather_rows(gated, kept.indices),
-        a=pooled_a,
+        a=sparse.strip_diagonal(sparse.ones_pattern(pooled_a)),
         kept=kept,
         scores=h,
         graph_id=gid[kept.indices],
     )
 
 
-def lcpool(
-    x: Tensor,
-    a: CsrMatrix,
-    scorer: Lcsmp,
-    ratio: float,
-    graph_id,
-    retain_self_loops: bool = False,
-) -> PoolResult:
+def lcpool(x: Tensor, a: CsrMatrix, scorer: Lcsmp, ratio: float, graph_id) -> PoolResult:
     """Local cluster pooling: the cluster step is dismissed entirely.
 
     A 1-hop convolution ahead of the pool already plays the cluster role,
@@ -254,19 +236,11 @@ def lcpool(
     """
     if not sparse.is_symmetric(a):
         raise ValueError("this pool expects an undirected (symmetric) adjacency")
-    return local_cluster_selection_pool(
-        x, a, lambda t, _a: t, scorer, ratio, graph_id, retain_self_loops
-    )
+    return local_cluster_selection_pool(x, a, lambda t, _a: t, scorer, ratio, graph_id)
 
 
 def lcpool_star(
-    x: Tensor,
-    a: CsrMatrix,
-    cluster_conv: GcnConv,
-    scorer: Lcsmp,
-    ratio: float,
-    graph_id,
-    retain_self_loops: bool = False,
+    x: Tensor, a: CsrMatrix, cluster_conv: GcnConv, scorer: Lcsmp, ratio: float, graph_id
 ) -> PoolResult:
     """Variant with an explicit extra convolution as the cluster function.
 
@@ -275,6 +249,4 @@ def lcpool_star(
     """
     if not sparse.is_symmetric(a):
         raise ValueError("this pool expects an undirected (symmetric) adjacency")
-    return local_cluster_selection_pool(
-        x, a, cluster_conv, scorer, ratio, graph_id, retain_self_loops
-    )
+    return local_cluster_selection_pool(x, a, cluster_conv, scorer, ratio, graph_id)

@@ -110,7 +110,7 @@ def _dense_closure_pattern(ad: np.ndarray) -> np.ndarray:
 
 
 def check_closure_pattern(trials: int = 200, seed: int = 3) -> CheckResult:
-    """Three-hop closure pattern vs the dense (I+A)^T A (I+A) oracle."""
+    """Three-hop closure and the pools' rewire vs the dense (I+A)^T A (I+A) oracle."""
     rng = np.random.default_rng(seed)
     for directed in (False, True):
         for t in range(trials):
@@ -125,13 +125,21 @@ def check_closure_pattern(trials: int = 200, seed: int = 3) -> CheckResult:
                 return CheckResult(
                     "closure-pattern", False, f"directed={directed} trial {t}"
                 )
+            rewired = pooling.rewire(sparse.add_self_loops(a), a, idx)
+            if not np.array_equal(sparse.to_dense(rewired) != 0, want):
+                return CheckResult(
+                    "closure-pattern", False, f"pool rewire, directed={directed} trial {t}"
+                )
             if not directed:
                 alt = sparse.hop_closure(a, symmetric=False)
                 if not np.array_equal(sparse.to_dense(alt) != 0, _dense_closure_pattern(ad)):
                     return CheckResult(
                         "closure-pattern", False, f"symmetric formulas differ, trial {t}"
                     )
-    return CheckResult("closure-pattern", True, f"{trials} undirected + {trials} directed graphs")
+    return CheckResult(
+        "closure-pattern", True,
+        f"{trials} undirected + {trials} directed graphs, closure and pool rewire",
+    )
 
 
 def check_contributor_connectivity(trials: int = 200, seed: int = 4) -> CheckResult:

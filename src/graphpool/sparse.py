@@ -350,7 +350,9 @@ def hop_closure(a: CsrMatrix, symmetric: bool) -> CsrMatrix:
 
     Symmetric variant: ones(A + A@A + A@A@A), computed literally.
     General variant: ones(A + A^T@A + A@A + A^T@A@A).
-    Index selection is applied by the caller.
+    Index selection is applied by the caller.  This is the literal reference
+    for tests and ``selfcheck``; no pool calls it, the local pools rewire by
+    ``S_K^T A S_K`` (:func:`graphpool.pooling.rewire`).
     """
     if a.n_rows != a.n_cols:
         raise ValueError("hop closure requires a square matrix")

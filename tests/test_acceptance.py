@@ -2,7 +2,8 @@
 
 Each test prints one pass/fail line (visible with ``pytest -s``).  The long
 multi-run benchmark comparison is optional and reported rather than
-asserted; see scripts/benchmark_check.py.
+asserted; run it with
+``GRAPHPOOL_RUN_BENCHMARK=1 pytest tests/test_acceptance.py -k test_09 -s``.
 """
 
 import os
@@ -89,8 +90,8 @@ def test_08_ranking_fixture_hits_233():
 @pytest.mark.skipif(
     os.environ.get("GRAPHPOOL_RUN_BENCHMARK") != "1"
     or not os.path.isdir(os.path.join(DATA_ROOT, "PROTEINS")),
-    reason="optional long benchmark; set GRAPHPOOL_RUN_BENCHMARK=1 with PROTEINS "
-           "under the data root, or run scripts/benchmark_check.py",
+    reason="optional long benchmark; with PROTEINS under the data root, run "
+           "GRAPHPOOL_RUN_BENCHMARK=1 pytest tests/test_acceptance.py -k test_09 -s",
 )
 def test_09_optional_benchmark_comparison_reported():
     """Ten PROTEINS runs should land near the published 75.71 +/- 5 band.

@@ -131,16 +131,20 @@ class TestDenseAssignment:
 
 class TestLocalAssignmentValidation:
     def test_identity_is_local(self):
-        assert validate_local_assignment(CsrMatrix.identity(4), path4(), strict=False)
+        validate_local_assignment(CsrMatrix.identity(4), path4())
 
-    def test_full_one_hop_pattern_is_strict(self):
-        star = sparse.add_self_loops(path4())
-        assert validate_local_assignment(star, path4(), strict=True)
+    def test_full_one_hop_pattern_is_local(self):
+        validate_local_assignment(sparse.add_self_loops(path4()), path4())
 
-    def test_entry_outside_pattern_fails_both(self):
-        s = CsrMatrix.from_coo(4, 4, [0], [3], [1.0])  # nodes 0 and 3 not adjacent
-        assert not validate_local_assignment(s, path4(), strict=False)
-        assert not validate_local_assignment(s, path4(), strict=True)
+    def test_entry_outside_pattern_raises(self):
+        # nodes 0 and 3 are not adjacent, nor are 1 and 3: the first is named
+        s = CsrMatrix.from_coo(4, 4, [0, 1, 1], [3, 1, 3], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=r"\(0, 3\)"):
+            validate_local_assignment(s, path4())
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="equal-shaped"):
+            validate_local_assignment(CsrMatrix.identity(3), path4())
 
     def test_pool_rejects_nonlocal_assignment(self):
         s = CsrMatrix.from_coo(4, 4, [0], [3], [1.0])
@@ -202,22 +206,34 @@ class TestLocalAssignmentSelection:
 
 class TestLocalClusterSelection:
     def test_matches_assignment_route_with_full_pattern(self):
+        # the assignment route, the cluster route and the literal three-hop
+        # closure agree on directed graphs, an isolated node, |K| = 1 and
+        # K = every node
         rng = np.random.default_rng(5)
-        for _ in range(40):
-            n = int(rng.integers(2, 21))
-            ad = random_adjacency_dense(rng, n, p=0.35)
+        for trial in range(120):
+            directed = trial % 2 == 1
+            ratio = (0.5, 0.01, 1.0)[trial % 3]
+            n = int(rng.integers(1, 21))
+            ad = random_adjacency_dense(rng, n, p=0.35, directed=directed)
+            if trial % 5 == 0:
+                ad[n - 1, :] = ad[:, n - 1] = 0.0
             a = sparse.from_dense(ad)
             x = rng.normal(size=(n, 2))
             score = fixed_score(rng.normal(size=n))
             star = sparse.add_self_loops(a)
             via_assignment = local_assignment_selection_pool(
-                constant(x), a, lambda _x, _a: star, score, 0.5, single_graph_ids(n))
-            via_closure = local_cluster_selection_pool(
+                constant(x), a, lambda _x, _a: star, score, ratio, single_graph_ids(n))
+            via_cluster = local_cluster_selection_pool(
                 constant(x), a, lambda t, _a: diff.spmm_const(sparse.transpose(star), t),
-                score, 0.5, single_graph_ids(n))
-            assert np.array_equal(via_assignment.kept.indices, via_closure.kept.indices)
+                score, ratio, single_graph_ids(n))
+            kept = via_cluster.kept
+            assert len(kept) == kept_count(ratio, n)
+            assert np.array_equal(via_assignment.kept.indices, kept.indices)
             lhs = sparse.strip_diagonal(sparse.ones_pattern(via_assignment.a))
-            assert sparse.equal(lhs, via_closure.a)
+            assert sparse.equal(lhs, via_cluster.a)
+            closure = sparse.hop_closure(a, symmetric=not directed)
+            literal = sparse.strip_diagonal(sparse.select_rows_cols(closure, kept))
+            assert sparse.equal(literal, via_cluster.a)
 
     def test_path_endpoints_reconnect_within_three_hops(self):
         result = local_cluster_selection_pool(
@@ -232,13 +248,6 @@ class TestLocalClusterSelection:
             local_cluster_selection_pool(
                 constant(np.eye(2)), weighted, lambda t, _a: t,
                 fixed_score([1.0, 0.0]), 1.0, single_graph_ids(2))
-
-    def test_retain_self_loops_flag(self):
-        result = local_cluster_selection_pool(
-            constant(np.eye(4)), path4(), lambda t, _a: t,
-            fixed_score([1.0, 1.0, 0.0, 0.0]), 0.5, single_graph_ids(4),
-            retain_self_loops=True)
-        assert np.all(np.diag(sparse.to_dense(result.a)) == 1.0)
 
 
 class TestLcPool:
