@@ -11,7 +11,7 @@ import os
 import warnings
 
 from graphpool import harness
-from graphpool.dataset import load_tudataset, make_synthetic
+from graphpool.cli import load_dataset
 
 
 def parse_args():
@@ -38,11 +38,7 @@ def parse_args():
 
 def main():
     args = parse_args()
-    if args.dataset.startswith("synthetic:"):
-        dataset = make_synthetic(args.dataset.split(":", 1)[1],
-                                 args.synthetic_size, seed=args.seed)
-    else:
-        dataset = load_tudataset(args.data_root, args.dataset)
+    dataset = load_dataset(vars(args))
     print(f"{dataset.name}: {len(dataset)} graphs, {dataset.num_classes} classes")
 
     backbone_names = {"h": "hierarchical", "p": "plain"}

@@ -114,7 +114,7 @@ def _train_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _load_dataset(opts: dict):
+def load_dataset(opts: dict):
     name = opts["dataset"]
     if name is None:
         raise SystemExit("train requires --dataset (flag or config file)")
@@ -128,7 +128,7 @@ def _load_dataset(opts: dict):
 
 def _cmd_train(args) -> int:
     opts = _train_settings(args)
-    dataset = _load_dataset(opts)
+    dataset = load_dataset(opts)
     mcfg = harness.ModelConfig(
         backbone=_BACKBONE_ALIASES[opts["backbone"]],
         conv=opts["conv"],

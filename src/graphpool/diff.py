@@ -435,7 +435,7 @@ def assignment_reduce(s: Tensor, x: Tensor, segment_id, k: int) -> Tensor:
     """Per-segment S^T @ X for a block-diagonal soft assignment.
 
     Row g*k + c of the result is sum_i s[i, c] * x[i, :] over the rows i of
-    segment g.
+    segment g, added in row order; neither pass builds an N x k x width array.
     """
     if s.rows != x.rows:
         raise ValueError("assignment and features must have equal rows")
@@ -443,13 +443,17 @@ def assignment_reduce(s: Tensor, x: Tensor, segment_id, k: int) -> Tensor:
         raise ValueError(f"assignment width {s.cols} != {k}")
     seg = _segments(segment_id, x.rows)
     n = int(seg[-1]) + 1 if seg.size else 0
-    outer = (s.values[:, :, None] * x.values[:, None, :]).reshape(x.rows, k * x.cols)
-    out = Tensor(sparse.row_sums(_row_ptr(seg, n), outer).reshape(n * k, x.cols))
+    bounds = _row_ptr(seg, n)
+    out = Tensor(sparse.spmm(sparse.block_transpose(s.values, bounds), x.values))
 
     def rule(g):
-        g3 = g.reshape(n, k, x.cols)[seg]
-        _accumulate(s, np.einsum("ncd,nd->nc", g3, x.values))
-        _accumulate(x, np.einsum("nc,ncd->nd", s.values, g3))
+        g_s, g_x = np.empty_like(s.values), np.empty_like(x.values)
+        for j, g_j in enumerate(g.reshape(n, k, x.cols)):
+            rows = slice(bounds[j], bounds[j + 1])
+            g_s[rows] = x.values[rows] @ g_j.T
+            g_x[rows] = s.values[rows] @ g_j
+        _accumulate(s, g_s)
+        _accumulate(x, g_x)
 
     return _record(out, rule)
 

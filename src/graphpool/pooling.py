@@ -106,46 +106,34 @@ def node_selection_pool(x: Tensor, a: CsrMatrix, score_fn, ratio: float, graph_i
 def dense_assignment_pool(x: Tensor, a: CsrMatrix, assign_fn, k_clusters: int, graph_id) -> PoolResult:
     """Soft-cluster every graph into a fixed number of pooled nodes.
 
-    assign_fn returns a row-stochastic N x k tensor; features become S^T X
-    per graph and the pooled adjacency S^T A S (diagonal dropped).  Output
-    size is k per graph regardless of input size.
+    assign_fn returns a row-stochastic N x k tensor S; features become S^T X
+    per graph (:func:`diff.assignment_reduce`).  A must not join graphs:
+    ``spmm(S^T, spmm(A, S))`` with S^T from :func:`sparse.block_transpose`
+    stacks the per-graph blocks S^T A S, whose diagonals are dropped.  This
+    pooled adjacency is a constant: no gradient reaches S through it, so
+    finite differences through a later stage disagree with the tape.
     """
     if k_clusters < 1:
         raise ValueError("need at least one cluster")
     gid = np.asarray(graph_id, dtype=np.int64)
     sizes = _graph_sizes(gid)
-    n_graphs = sizes.size
+    n_pooled = sizes.size * k_clusters
     s = assign_fn(x, a, gid)
-    if s.shape != (x.rows, k_clusters):
-        raise ValueError(f"assignment must be {x.rows} x {k_clusters}, got {s.shape}")
     pooled_x = diff.assignment_reduce(s, x, gid, k_clusters)
 
-    bounds = np.zeros(n_graphs + 1, dtype=np.int64)
-    np.cumsum(sizes, out=bounds[1:])
-    rows, cols, vals = [], [], []
-    for g in range(n_graphs):
-        lo, hi = int(bounds[g]), int(bounds[g + 1])
-        block_a = sparse.to_dense(sparse.select_rows_cols(a, IndexSet(np.arange(lo, hi))))
-        block_s = s.values[lo:hi]
-        pooled = block_s.T @ block_a @ block_s
-        np.fill_diagonal(pooled, 0.0)
-        r, c = np.nonzero(pooled)
-        rows.append(r + g * k_clusters)
-        cols.append(c + g * k_clusters)
-        vals.append(pooled[r, c])
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    blocks = sparse.spmm(sparse.block_transpose(s.values, bounds), sparse.spmm(a, s.values))
+    blocks[np.arange(n_pooled), np.arange(n_pooled) % k_clusters] = 0.0  # diagonal
+    rows, cols = np.nonzero(blocks)
     pooled_a = CsrMatrix.from_coo(
-        n_graphs * k_clusters,
-        n_graphs * k_clusters,
-        np.concatenate(rows) if rows else [],
-        np.concatenate(cols) if cols else [],
-        np.concatenate(vals) if vals else [],
+        n_pooled, n_pooled, rows, rows - rows % k_clusters + cols, blocks[rows, cols]
     )
     return PoolResult(
         x=pooled_x,
         a=pooled_a,
-        kept=IndexSet.all(n_graphs * k_clusters),
+        kept=IndexSet.all(n_pooled),
         scores=diff.constant(np.ones((x.rows, 1))),
-        graph_id=np.repeat(np.arange(n_graphs, dtype=np.int64), k_clusters),
+        graph_id=np.repeat(np.arange(sizes.size, dtype=np.int64), k_clusters),
     )
 
 

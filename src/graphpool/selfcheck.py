@@ -324,11 +324,13 @@ _GRAD_CONFIGS = (
         backbone="hierarchical", pool="lcpool", hidden=5, pre_mlp=(5,), post_mlp=(6, 5))),
     ("hierarchical+lcpool_star", harness.ModelConfig(
         backbone="hierarchical", pool="lcpool_star", hidden=5, pre_mlp=(5,), post_mlp=(6, 5))),
+    ("plain+dense", harness.ModelConfig(
+        backbone="plain", pool="dense", hidden=5, pre_mlp=(5,), post_mlp=(6, 5), dense_clusters=3)),
 )
 
 
 def check_gradients(seed: int = 5, tol: float = 1e-4) -> CheckResult:
-    """Primitives and three end-to-end models vs central finite differences."""
+    """Primitives and four end-to-end models vs central finite differences."""
     rng = np.random.default_rng(seed)
     worst_name, worst = "", 0.0
     for name, builder, tensors in _primitive_cases(rng):

@@ -18,6 +18,7 @@ __all__ = [
     "IndexSet",
     "add",
     "add_self_loops",
+    "block_transpose",
     "equal",
     "from_dense",
     "hop_closure",
@@ -31,7 +32,6 @@ __all__ = [
     "spmm",
     "strip_diagonal",
     "to_dense",
-    "to_triplets_text",
     "transpose",
     "validate",
 ]
@@ -284,6 +284,23 @@ def transpose(a: CsrMatrix) -> CsrMatrix:
     return CsrMatrix.from_coo(a.n_cols, a.n_rows, a.col_idx, row_indices(a), a.values)
 
 
+def block_transpose(values, segment_ptr) -> CsrMatrix:
+    """Sᵀ of the block-diagonal S whose blocks are the row segments of values.
+
+    Row g*k + c holds values[i, c] at column i for each row i of segment g
+    (``segment_ptr[g] <= i < segment_ptr[g + 1]``); built without a sort.
+    """
+    n, k = values.shape
+    ends = np.concatenate([[0], np.cumsum(np.repeat(np.diff(segment_ptr), k))])
+    # entry e of row g*k + c is values.T.flat[c*n + segment_ptr[g] + e]
+    first = (np.asarray(segment_ptr[:-1])[:, None] + np.arange(k) * n).ravel()
+    flat = np.arange(ends[-1]) + np.repeat(first - ends[:-1], np.diff(ends))
+    vals = values.T.ravel()[flat]
+    keep = vals != 0.0
+    kept_before = np.concatenate([[0], np.cumsum(keep)])
+    return CsrMatrix(ends.size - 1, n, kept_before[ends], flat[keep] % n, vals[keep])
+
+
 def add(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
     """Entrywise sum; exact cancellation drops the entry."""
     if a.shape != b.shape:
@@ -378,11 +395,3 @@ def strip_diagonal(a: CsrMatrix) -> CsrMatrix:
         a.n_rows, a.n_cols, rows[keep], a.col_idx[keep], a.values[keep]
     )
 
-
-def to_triplets_text(a: CsrMatrix) -> str:
-    """Debug dump: one ``row col value`` line per entry, row-major order."""
-    rows = row_indices(a)
-    lines = [
-        f"{r} {c} {v:.17g}" for r, c, v in zip(rows, a.col_idx, a.values)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -109,19 +109,38 @@ class TestDenseAssignment:
 
     def test_random_assignment_matches_dense_oracle(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            n, k = int(rng.integers(2, 9)), int(rng.integers(1, 4))
-            ad = random_adjacency_dense(rng, n, p=0.5)
-            logits = rng.normal(size=(n, k))
+        seen = set()
+        for _ in range(30):
+            k = int(rng.integers(1, 6))
+            graphs = []
+            for _ in range(int(rng.integers(1, 5))):
+                n = int(rng.integers(1, 9))
+                ad = random_adjacency_dense(rng, n, p=0.5) * (rng.random() < 0.8)
+                graphs.append(Graph(n, rng.normal(size=(n, 3)), sparse.from_dense(ad), 0))
+                if n == 1:
+                    seen.add("one-node")
+                elif not ad.any():
+                    seen.add("edgeless")
+                if k > n:
+                    seen.add("k > n")
+            batch = make_batch(graphs)
+            logits = rng.normal(size=(batch.x.shape[0], k))
             s = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-            x = rng.normal(size=(n, 3))
             result = dense_assignment_pool(
-                constant(x), sparse.from_dense(ad), lambda t, a, gid: constant(s), k,
-                single_graph_ids(n))
-            expected_a = s.T @ ad @ s
-            np.fill_diagonal(expected_a, 0.0)
-            assert np.allclose(sparse.to_dense(result.a), expected_a, atol=1e-12)
-            assert np.allclose(result.x.values, s.T @ x, atol=1e-12)
+                constant(batch.x), batch.a, lambda t, a, gid: constant(s), k, batch.graph_id)
+            expected_a = np.zeros((len(graphs) * k, len(graphs) * k))
+            expected_x = np.zeros((len(graphs) * k, 3))
+            for g, graph in enumerate(graphs):
+                s_g = s[batch.graph_id == g]
+                block = s_g.T @ sparse.to_dense(graph.a) @ s_g
+                np.fill_diagonal(block, 0.0)
+                expected_a[g * k : (g + 1) * k, g * k : (g + 1) * k] = block
+                expected_x[g * k : (g + 1) * k] = s_g.T @ graph.x
+            got_a = sparse.to_dense(result.a)
+            assert np.array_equal(got_a != 0, expected_a != 0)
+            assert np.allclose(got_a, expected_a, rtol=1e-12, atol=0.0)
+            assert np.allclose(result.x.values, expected_x, rtol=0.0, atol=1e-12)
+        assert seen == {"one-node", "edgeless", "k > n"}
 
     def test_zero_clusters_rejected(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,13 @@ def add_at_rows(n_rows, idx, block):
     return out
 
 
+def assert_rel_close(got, want, tol):
+    """Largest elementwise error within tol times the largest magnitude."""
+    assert got.shape == want.shape
+    if want.size:
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
 def random_csr(rng, row_lengths, n_cols):
     """Rows of the given lengths, distinct random columns, normal values."""
     rows, cols = [], []
@@ -131,12 +138,21 @@ def test_assignment_reduce_matches_add_at(case):
     lengths, _ = _shapes(rng)[case]
     seg = np.repeat(np.arange(lengths.size), lengths)
     k = 3
-    s = constant(rng.uniform(0.1, 1.0, size=(seg.size, k)))
-    x = constant(rng.normal(size=(seg.size, 4)))
+    s = Tensor(rng.uniform(0.1, 1.0, size=(seg.size, k)))
+    x = Tensor(rng.normal(size=(seg.size, 4)))
     out = diff.assignment_reduce(s, x, seg, k)
     n = int(seg[-1]) + 1 if seg.size else 0
     ref = add_at_rows(n, seg, s.values[:, :, None] * x.values[:, None, :])
     assert np.array_equal(out.values, ref.reshape(n * k, 4))
+
+    # backward against the outer-product einsum formulas
+    upstream = rng.normal(size=(n * k, 4))
+    with Tape():
+        loss = diff.sum_all(diff.mul(diff.assignment_reduce(s, x, seg, k), constant(upstream)))
+    backward(loss)
+    g3 = upstream.reshape(n, k, 4)[seg]
+    assert_rel_close(s.grad, np.einsum("ncd,nd->nc", g3, x.values), 1e-12)
+    assert_rel_close(x.grad, np.einsum("nc,ncd->nd", s.values, g3), 1e-12)
 
 
 def segment_max_loop(x, seg, n):

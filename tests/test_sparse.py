@@ -248,13 +248,6 @@ class TestSymmetryAndDump:
         a = sparse.add_self_loops(path4())
         assert sparse.equal(sparse.strip_diagonal(a), path4())
 
-    def test_triplet_dump_golden(self):
-        a = CsrMatrix.from_coo(3, 3, [1, 0, 2], [0, 2, 2], [4.0, -1.5, 0.25])
-        assert sparse.to_triplets_text(a) == "0 2 -1.5\n1 0 4\n2 2 0.25\n"
-
-    def test_triplet_dump_empty(self):
-        assert sparse.to_triplets_text(CsrMatrix.empty(2, 2)) == ""
-
 
 class TestDenseOracleEquivalence:
     """Every kernel op must agree with plain dense arithmetic, exactly."""
@@ -305,6 +298,22 @@ class TestDenseOracleEquivalence:
             # and the all-sparse route through the full product agrees bit-exactly
             full = sparse.spgemm(sparse.spgemm(sparse.transpose(s), a), s)
             assert sparse.equal(left, sparse.select_rows_cols(full, idx))
+
+    def test_block_transpose_is_transposed_block_diagonal(self):
+        # empty segments, zero entries and k = 1 included
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            sizes = rng.integers(0, 5, size=int(rng.integers(0, 5)))
+            k = int(rng.integers(1, 4))
+            values = random_integer_dense(rng, int(sizes.sum()), k, density=0.6)
+            segment_ptr = np.concatenate([[0], np.cumsum(sizes)])
+            got = sparse.block_transpose(values, segment_ptr)
+            sparse.validate(got)
+            block_diag = np.zeros((values.shape[0], sizes.size * k))
+            for g in range(sizes.size):
+                lo, hi = segment_ptr[g], segment_ptr[g + 1]
+                block_diag[lo:hi, g * k : (g + 1) * k] = values[lo:hi]
+            assert np.array_equal(sparse.to_dense(got), block_diag.T)
 
 
 @settings(max_examples=60, deadline=None)
