@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,29 +64,27 @@ class GraphBatch:
 
 
 def make_batch(graphs: list[Graph]) -> GraphBatch:
+    """Stack graphs into one block-diagonal batch.
+
+    Each graph's CSR arrays are canonical, so offsetting and concatenating
+    them gives the canonical batch adjacency without a sort.
+    """
     if not graphs:
         raise ValueError("cannot batch zero graphs")
     dims = {g.x.shape[1] for g in graphs}
     if len(dims) != 1:
         raise ValueError(f"feature dimensions differ across graphs: {sorted(dims)}")
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
-    offsets = np.zeros(len(graphs), dtype=np.int64)
-    np.cumsum(sizes[:-1], out=offsets[1:])
-    total = int(sizes.sum())
-    rows, cols = [], []
-    for g, off in zip(graphs, offsets):
-        rows.append(row_indices(g.a) + off)
-        cols.append(g.a.col_idx + off)
-    a = CsrMatrix.from_coo(
-        total,
-        total,
-        np.concatenate(rows) if rows else [],
-        np.concatenate(cols) if cols else [],
-        np.ones(sum(g.a.nnz for g in graphs)),
-    )
+    nnzs = np.array([g.a.nnz for g in graphs], dtype=np.int64)
+    node_off = np.cumsum(sizes) - sizes
+    edge_off = np.cumsum(nnzs) - nnzs
+    row_ptr = np.zeros(int(sizes.sum()) + 1, dtype=np.int64)
+    row_ptr[1:] = np.concatenate([g.a.row_ptr[1:] for g in graphs]) + np.repeat(edge_off, sizes)
+    col_idx = np.concatenate([g.a.col_idx for g in graphs]) + np.repeat(node_off, nnzs)
+    total = row_ptr.size - 1
     return GraphBatch(
         x=np.vstack([g.x for g in graphs]),
-        a=a,
+        a=CsrMatrix(total, total, row_ptr, col_idx, np.ones(col_idx.size)),
         graph_id=np.repeat(np.arange(len(graphs), dtype=np.int64), sizes),
         labels=np.array([g.label for g in graphs], dtype=np.int64),
         graph_count=len(graphs),
@@ -128,9 +127,56 @@ def split(dataset: Dataset, ratios, seed: int) -> tuple[Dataset, Dataset, Datase
 # TUDataset flat files
 
 
-def _read_lines(path: str) -> list[str]:
+def _parse(source, dtype, width: int | None):
+    """``source`` as a (rows, width) table, or None when a line does not parse.
+
+    ``source`` is a path or a list of lines; empty lines are skipped. With
+    ``width`` None any width is accepted.
+    """
+    with warnings.catch_warnings():
+        # a file of edgeless graphs has an empty _A file
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if table.size == 0:
+        return np.empty((0, width or 1), dtype=dtype)
+    return table if width in (None, table.shape[1]) else None
+
+
+def _read_table(path: str, dtype, width: int | None = None) -> np.ndarray:
+    """The comma-separated numbers of ``path``, one row per non-empty line.
+
+    A malformed value or a row of the wrong width raises ``ValueError`` naming
+    the file and its 1-based line.
+    """
+    table = _parse(path, dtype, width)
+    if table is not None:
+        return table
+    # error path only: bisect the lines for the first one the parser rejects
     with open(path) as fh:
-        return [line.strip() for line in fh if line.strip()]
+        lines = fh.read().split("\n")
+    if width is None:
+        width = next(len(line.split(",")) for line in lines if line)
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _parse(lines[lo:mid], dtype, width) is None:
+            hi = mid
+        else:
+            lo = mid
+    kind = "integers" if dtype is np.int64 else "numbers"
+    raise ValueError(
+        f"{path}, line {lo + 1}: expected {width} comma-separated {kind}, got {lines[lo]!r}"
+    )
+
+
+def _line_error(path: str, row: int, message: str) -> ValueError:
+    """``message`` as an error naming ``path`` and the line that holds table row ``row``."""
+    with open(path) as fh:
+        numbers = [n for n, line in enumerate(fh, 1) if line.strip()]
+    return ValueError(f"{path}, line {numbers[row]}: {message}")
 
 
 def load_tudataset(root: str, name: str) -> Dataset:
@@ -139,6 +185,11 @@ def load_tudataset(root: str, name: str) -> Dataset:
     Node features are the one-hot node labels concatenated with the node
     attributes, whichever are present; with neither, a constant-1 column.
     Edges are symmetrized and deduplicated and self-loops are dropped.
+    Each file is parsed once and the edges of all graphs form one
+    block-diagonal adjacency whose diagonal blocks are the graphs' own, so
+    the load runs in time linear in graphs and edges (plus one edge sort).
+    Malformed input raises ``ValueError`` naming the file and, where one
+    line is at fault, its 1-based line number.
     """
     base = os.path.join(root, name)
     paths = {
@@ -149,68 +200,76 @@ def load_tudataset(root: str, name: str) -> Dataset:
         if not os.path.exists(paths[key]):
             raise FileNotFoundError(f"missing mandatory file {paths[key]}")
 
-    indicator = np.array([int(s) for s in _read_lines(paths["graph_indicator"])])
+    indicator = _read_table(paths["graph_indicator"], np.int64, 1)[:, 0]
     n_nodes = indicator.size
-    n_graphs = int(indicator.max())
-    if np.any(np.diff(indicator) < 0):
-        raise ValueError("graph indicator must be non-decreasing")
+    if n_nodes == 0:
+        raise ValueError(f"{paths['graph_indicator']}: no nodes")
+    drops = np.flatnonzero(np.diff(indicator) < 0)
+    if drops.size:
+        raise _line_error(paths["graph_indicator"], int(drops[0]) + 1,
+                          "graph indicator must be non-decreasing")
+    if indicator[0] < 1:
+        raise _line_error(paths["graph_indicator"], 0, "graph ids start at 1")
     node_graph = indicator - 1
+    n_graphs = int(indicator[-1])
 
-    raw_labels = np.array([int(s) for s in _read_lines(paths["graph_labels"])])
+    raw_labels = _read_table(paths["graph_labels"], np.int64, 1)[:, 0]
     if raw_labels.size != n_graphs:
-        raise ValueError("graph label count does not match the indicator")
+        raise ValueError(f"{paths['graph_labels']}: graph label count does not match the indicator")
     classes = np.unique(raw_labels)
-    labels = np.searchsorted(classes, raw_labels)
+    labels = np.searchsorted(classes, raw_labels).tolist()
 
-    edges = []
-    for line in _read_lines(paths["A"]):
-        i_s, j_s = line.split(",")
-        edges.append((int(i_s), int(j_s)))
-    edges = np.array(edges, dtype=np.int64).reshape(-1, 2) - 1
-    if edges.size:
-        if edges.min() < 0 or edges.max() >= n_nodes:
-            raise ValueError("edge endpoint outside node range")
-        bad = node_graph[edges[:, 0]] != node_graph[edges[:, 1]]
-        if np.any(bad):
-            i, j = edges[np.nonzero(bad)[0][0]]
-            raise ValueError(f"edge ({i + 1}, {j + 1}) crosses graph boundaries")
+    counts = np.bincount(node_graph, minlength=n_graphs)
+    if not counts.all():
+        g = int(np.argmin(counts))
+        raise ValueError(f"{paths['graph_indicator']}: graph {g + 1} has no nodes")
+
+    edges = _read_table(paths["A"], np.int64, 2) - 1
+    if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
+        row = int(np.argmax(((edges < 0) | (edges >= n_nodes)).any(axis=1)))
+        raise _line_error(paths["A"], row, f"edge endpoint outside node range 1..{n_nodes}")
+    crossed = node_graph[edges[:, 0]] != node_graph[edges[:, 1]]
+    if crossed.any():
+        row = int(np.argmax(crossed))
+        i, j = edges[row] + 1
+        raise _line_error(paths["A"], row, f"edge ({i}, {j}) crosses graph boundaries")
 
     blocks = []
     if os.path.exists(paths["node_labels"]):
-        node_labels = np.array([int(s) for s in _read_lines(paths["node_labels"])])
+        node_labels = _read_table(paths["node_labels"], np.int64, 1)[:, 0]
         if node_labels.size != n_nodes:
-            raise ValueError("node label count does not match the indicator")
+            raise ValueError(
+                f"{paths['node_labels']}: node label count does not match the indicator")
         values = np.unique(node_labels)
         onehot = np.zeros((n_nodes, values.size))
         onehot[np.arange(n_nodes), np.searchsorted(values, node_labels)] = 1.0
         blocks.append(onehot)
     if os.path.exists(paths["node_attributes"]):
-        attrs = np.array(
-            [[float(v) for v in line.split(",")] for line in _read_lines(paths["node_attributes"])]
-        )
+        attrs = _read_table(paths["node_attributes"], np.float64)
         if attrs.shape[0] != n_nodes:
-            raise ValueError("node attribute count does not match the indicator")
+            raise ValueError(
+                f"{paths['node_attributes']}: node attribute count does not match the indicator")
+        finite = np.isfinite(attrs).all(axis=1)
+        if not finite.all():
+            raise _line_error(paths["node_attributes"], int(np.argmin(finite)),
+                              "node attributes must be finite")
         blocks.append(attrs)
     x_all = np.hstack(blocks) if blocks else np.ones((n_nodes, 1))
 
-    first = np.searchsorted(node_graph, np.arange(n_graphs))
-    counts = np.bincount(node_graph, minlength=n_graphs)
+    # No edge crosses graphs, so the global adjacency is block-diagonal and
+    # each graph's rows are a contiguous slice of it.
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    keep = rows != cols
+    # from_coo sums duplicates; only the pattern is kept
+    pattern = CsrMatrix.from_coo(n_nodes, n_nodes, rows[keep], cols[keep], np.ones(keep.sum()))
+    row_ptr, col_idx, ones = pattern.row_ptr, pattern.col_idx, np.ones(pattern.nnz)
+    stops = np.cumsum(counts)
     graphs = []
-    for g in range(n_graphs):
-        lo, size = int(first[g]), int(counts[g])
-        if size == 0:
-            raise ValueError(f"graph {g + 1} has no nodes")
-        if edges.size:
-            mine = edges[node_graph[edges[:, 0]] == g] - lo
-        else:
-            mine = np.empty((0, 2), dtype=np.int64)
-        rows = np.concatenate([mine[:, 0], mine[:, 1]])
-        cols = np.concatenate([mine[:, 1], mine[:, 0]])
-        keep = rows != cols
-        # from_coo sums duplicates; rebuild as an all-ones pattern
-        pattern = CsrMatrix.from_coo(size, size, rows[keep], cols[keep], np.ones(keep.sum()))
-        a = CsrMatrix(size, size, pattern.row_ptr, pattern.col_idx, np.ones(pattern.nnz))
-        graphs.append(Graph(size, x_all[lo : lo + size], a, int(labels[g])))
+    for g, (lo, hi) in enumerate(zip((stops - counts).tolist(), stops.tolist())):
+        s, e = int(row_ptr[lo]), int(row_ptr[hi])
+        a = CsrMatrix(hi - lo, hi - lo, row_ptr[lo : hi + 1] - s, col_idx[s:e] - lo, ones[s:e])
+        graphs.append(Graph(hi - lo, x_all[lo:hi], a, labels[g]))
     return Dataset(graphs, int(classes.size), int(x_all.shape[1]), name)
 
 

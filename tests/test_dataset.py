@@ -1,7 +1,11 @@
 import os
+import re
+import time
+import warnings
 
 import numpy as np
 import pytest
+from helpers import random_adjacency_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,16 +30,41 @@ def write_fixture(root, name, files):
     return str(root)
 
 
+TINY = {
+    "A": "1, 2\n2, 1\n2, 3\n3, 2\n1, 3\n3, 1\n4, 5\n5, 4\n",
+    "graph_indicator": "1\n1\n1\n2\n2\n",
+    "graph_labels": "3\n7\n",
+    "node_labels": "0\n1\n0\n2\n1\n",
+    "node_attributes": "0.5\n1.5\n2.5\n3.5\n4.5\n",
+}
+
+INT1 = "expected 1 comma-separated integers"
+INT2 = "expected 2 comma-separated integers"
+OUTSIDE = "edge endpoint outside node range"
+
+
 @pytest.fixture
 def two_graph_root(tmp_path):
     """Triangle (nodes 1-3) plus a single edge (nodes 4-5)."""
-    return write_fixture(tmp_path, "tiny", {
-        "A": "1, 2\n2, 1\n2, 3\n3, 2\n1, 3\n3, 1\n4, 5\n5, 4\n",
-        "graph_indicator": "1\n1\n1\n2\n2\n",
-        "graph_labels": "3\n7\n",
-        "node_labels": "0\n1\n0\n2\n1\n",
-        "node_attributes": "0.5\n1.5\n2.5\n3.5\n4.5\n",
-    })
+    return write_fixture(tmp_path, "tiny", TINY)
+
+
+def write_dataset(root, name, ds, a_lines=None):
+    """Write a Dataset as TUDataset flat files; ``a_lines`` overrides the _A rows."""
+    sizes = np.array([g.num_nodes for g in ds.graphs])
+    offsets = np.cumsum(sizes) - sizes
+    if a_lines is None:
+        a_lines = np.concatenate([
+            np.column_stack([sparse.row_indices(g.a), g.a.col_idx]) + off
+            for g, off in zip(ds.graphs, offsets)
+        ]) + 1
+    base = root / name
+    base.mkdir(parents=True)
+    np.savetxt(base / f"{name}_A.txt", a_lines, fmt="%d", delimiter=", ")
+    np.savetxt(base / f"{name}_graph_indicator.txt",
+               np.repeat(np.arange(1, len(ds) + 1), sizes), fmt="%d")
+    np.savetxt(base / f"{name}_graph_labels.txt", [g.label for g in ds.graphs], fmt="%d")
+    return str(root)
 
 
 class TestLoader:
@@ -104,6 +133,98 @@ class TestLoader:
         ds = load_tudataset(two_graph_root, "tiny")
         assert all(sparse.is_symmetric(g.a) for g in ds.graphs)
 
+    @pytest.mark.parametrize("key, content, line, what", [
+        # the line number counts the empty lines the parser skips
+        pytest.param("A", "1, 2\n\n2, x\n", 3, INT2, id="A-bad-token"),
+        pytest.param("A", "1, 2\n2, 1, 3\n", 2, INT2, id="A-three-columns"),
+        pytest.param("A", "1, 2\n2, 1,\n", 2, INT2, id="A-trailing-comma"),
+        pytest.param("A", "1, 2\n   \n2, 1\n", 2, INT2, id="A-blank-spaces"),
+        pytest.param("A", "1, 2\n\n\n2, 9\n", 4, OUTSIDE + " 1..5", id="A-endpoint-high"),
+        pytest.param("A", "0, 1\n", 1, OUTSIDE, id="A-endpoint-zero"),
+        pytest.param("A", "1, 2\n\n3, 4\n", 3, "edge (3, 4) crosses graph boundaries",
+                     id="A-cross-graph"),
+        pytest.param("graph_indicator", "1\n1\n2.5\n2\n2\n", 3, INT1, id="indicator-bad-token"),
+        pytest.param("graph_indicator", "1\n2\n1\n2\n2\n", 3,
+                     "graph indicator must be non-decreasing", id="indicator-decreasing"),
+        pytest.param("graph_indicator", "0\n1\n1\n2\n2\n", 1, "graph ids start at 1",
+                     id="indicator-zero"),
+        pytest.param("graph_labels", "3, 4\n7\n", 1, INT1, id="labels-two-columns"),
+        pytest.param("node_labels", "0\n1\n0\n\n2\nb\n", 6, INT1, id="node-labels-bad-token"),
+        pytest.param("node_attributes", "0.5\n1.5, 2\n2.5\n3.5\n4.5\n", 2,
+                     "expected 1 comma-separated numbers", id="attributes-width"),
+        pytest.param("node_attributes", "0.5\n1.5\nnan\n3.5\n4.5\n", 3,
+                     "node attributes must be finite", id="attributes-nan"),
+    ])
+    def test_errors_name_file_and_line(self, tmp_path, key, content, line, what):
+        root = write_fixture(tmp_path, "tiny", {**TINY, key: content})
+        path = os.path.join(root, "tiny", f"tiny_{key}.txt")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: {what}")):
+            load_tudataset(root, "tiny")
+
+    def test_empty_graph_names_the_indicator(self, tmp_path):
+        root = write_fixture(tmp_path, "gap", {
+            "A": "",
+            "graph_indicator": "1\n3\n",
+            "graph_labels": "0\n1\n0\n",
+        })
+        path = os.path.join(root, "gap", "gap_graph_indicator.txt")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: graph 2 has no nodes")):
+            load_tudataset(root, "gap")
+
+    def test_edgeless_dataset_loads_quietly(self, tmp_path):
+        root = write_fixture(tmp_path, "edgeless", {
+            "A": "",
+            "graph_indicator": "1\n1\n2\n",
+            "graph_labels": "0\n1\n",
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_tudataset(root, "edgeless")
+        assert [g.num_nodes for g in ds.graphs] == [2, 1]
+        assert all(g.a.nnz == 0 for g in ds.graphs)
+        for g in ds.graphs:
+            sparse.validate(g.a)
+
+    def test_edge_order_does_not_matter(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ds = make_synthetic("two_communities", 12, seed=4)
+        sizes = np.array([g.num_nodes for g in ds.graphs])
+        offsets = np.cumsum(sizes) - sizes
+        und = np.concatenate([
+            np.column_stack([sparse.row_indices(g.a), g.a.col_idx]) + off
+            for g, off in zip(ds.graphs, offsets)
+        ])
+        und = und[und[:, 0] < und[:, 1]]
+        # each edge once, in a random direction, then a tenth of them again reversed
+        flip = rng.random(len(und)) < 0.5
+        one_way = np.where(flip[:, None], und[:, ::-1], und)
+        extra = und[rng.random(len(und)) < 0.1][:, ::-1]
+        lines = np.vstack([one_way, extra, one_way[:5]])[rng.permutation(len(und) + len(extra) + 5)]
+        assert np.any(np.diff(np.minimum(lines[:, 0], lines[:, 1])) < 0)  # not grouped by graph
+        shuffled = load_tudataset(write_dataset(tmp_path / "s", "S", ds, lines + 1), "S")
+        ordered = load_tudataset(write_dataset(tmp_path / "o", "O", ds), "O")
+        assert len(shuffled) == len(ordered) == len(ds)
+        for g, h, want in zip(shuffled.graphs, ordered.graphs, ds.graphs):
+            sparse.validate(g.a)
+            assert sparse.equal(g.a, h.a)
+            assert sparse.equal(g.a, want.a)
+
+    def test_load_time_scales_linearly(self, tmp_path):
+        def best_load(n_graphs):
+            name = f"G{n_graphs}"
+            root = write_dataset(tmp_path / name, name,
+                                 make_synthetic("two_communities", n_graphs, seed=0))
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                ds = load_tudataset(root, name)
+                times.append(time.perf_counter() - start)
+            assert len(ds) == n_graphs
+            return min(times)
+
+        small, large = best_load(1000), best_load(4000)
+        assert large / small < 8, f"4x the graphs took {large / small:.1f}x the time"
+
 
 @pytest.mark.skipif(
     not os.path.isdir(os.path.join(DATA_ROOT, "PROTEINS")),
@@ -161,6 +282,28 @@ class TestBatch:
             block = sparse.select_rows_cols(batch.a, IndexSet(np.arange(start, stop)))
             assert sparse.equal(block, g.a)
             start = stop
+
+    def test_matches_from_coo_route(self):
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(50):
+            graphs = []
+            for _ in range(int(rng.integers(1, 7))):
+                n = int(rng.choice([1, 1, 2, 3, 5, 8]))
+                p = 0.0 if rng.random() < 0.25 else 0.4
+                a = sparse.from_dense(random_adjacency_dense(rng, n, p))
+                graphs.append(Graph(n, rng.random((n, 2)), a, int(rng.integers(2))))
+                seen.add("one node" if n == 1 else "edgeless" if a.nnz == 0 else "edges")
+            batch = make_batch(graphs)
+            sizes = [g.num_nodes for g in graphs]
+            offsets = np.cumsum(sizes) - sizes
+            rows = np.concatenate([sparse.row_indices(g.a) + o for g, o in zip(graphs, offsets)])
+            cols = np.concatenate([g.a.col_idx + o for g, o in zip(graphs, offsets)])
+            want = CsrMatrix.from_coo(sum(sizes), sum(sizes), rows, cols, np.ones(rows.size))
+            sparse.validate(batch.a)
+            assert sparse.equal(batch.a, want)
+            assert batch.a.row_ptr.dtype == batch.a.col_idx.dtype == np.int64
+        assert seen == {"one node", "edgeless", "edges"}
 
     def test_feature_dim_mismatch(self):
         a = CsrMatrix.empty(1, 1)
