@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import harness, selfcheck
 from .dataset import SYNTHETIC_KINDS, load_tudataset, make_synthetic
@@ -12,46 +13,55 @@ from .dataset import SYNTHETIC_KINDS, load_tudataset, make_synthetic
 _BACKBONE_ALIASES = {"h": "hierarchical", "p": "plain",
                      "hierarchical": "hierarchical", "plain": "plain"}
 
-# flag -> value parser, used both for CLI strings and config files
+
+class _Option(NamedTuple):
+    parse: Callable[[str], object] = str
+    default: object = None
+    choices: tuple[str, ...] = ()  # set only on the grid axes, which take one or more values
+    help: str | None = None
+
+
+# Every train option under its config-file key (the flag with "_" for "-").
+# The parser's flags, the config-file keys and the defaults all come from here.
 _TRAIN_OPTIONS = {
-    "dataset": str,
-    "data_root": str,
-    "backbone": str,
-    "conv": str,
-    "pool": str,
-    "ratio": float,
-    "runs": int,
-    "seed": int,
-    "max_epochs": int,
-    "patience": int,
-    "batch_size": int,
-    "lr": float,
-    "hidden": int,
-    "synthetic_size": int,
-    "out": str,
+    "dataset": _Option(help="TUDataset name or synthetic:<kind>"),
+    "data_root": _Option(default="data", help="directory holding <NAME>/ TUDataset folders"),
+    "backbone": _Option(default=("h",), choices=tuple(sorted(_BACKBONE_ALIASES)),
+                        help="h = hierarchical, p = plain"),
+    "conv": _Option(default=("gcn",), choices=harness.CONVS, help="graph convolution"),
+    "pool": _Option(default=("lcpool",),
+                    choices=tuple(p.replace("_", "-") for p in harness.POOLS),
+                    help="pooling strategy"),
+    "ratio": _Option(float, harness.ModelConfig.ratio, help="share of nodes a pool keeps"),
+    "runs": _Option(int, 10, help="runs per configuration, seeds seed .. seed+runs-1"),
+    "seed": _Option(int, harness.TrainConfig.seed, help="seed of the first run"),
+    "max_epochs": _Option(int, harness.TrainConfig.max_epochs, help="epoch cap per run"),
+    "patience": _Option(int, harness.TrainConfig.patience,
+                        help="epochs without a validation gain before stopping"),
+    "batch_size": _Option(int, harness.TrainConfig.batch_size, help="graphs per batch"),
+    "lr": _Option(float, harness.TrainConfig.lr, help="Adam learning rate"),
+    "hidden": _Option(int, harness.ModelConfig.hidden, help="hidden width"),
+    "synthetic_size": _Option(int, 200, help="graph count for synthetic:<kind> datasets"),
+    "out": _Option(default="results.json",
+                   help="results JSON; the records CSV goes beside it as <stem>.csv"),
 }
 
-_TRAIN_DEFAULTS = {
-    "dataset": None,
-    "data_root": "data",
-    "backbone": "h",
-    "conv": "gcn",
-    "pool": "lcpool",
-    "ratio": 0.5,
-    "runs": 10,
-    "seed": 0,
-    "max_epochs": 500,
-    "patience": 50,
-    "batch_size": 32,
-    "lr": 0.0005,
-    "hidden": 128,
-    "synthetic_size": 200,
-    "out": "results.json",
-}
+
+def _config_value(key: str, text: str):
+    opt = _TRAIN_OPTIONS[key]
+    if not opt.choices:
+        return opt.parse(text)
+    values = [v.replace("_", "-") for v in text.split()]
+    if not values or not set(values) <= set(opt.choices):
+        raise ValueError(f"{key} takes one or more of {' '.join(opt.choices)}; got {text!r}")
+    return values
 
 
 def load_config(path: str) -> dict:
-    """key=value lines; '#' starts a comment; keys match the CLI flags."""
+    """key=value lines; '#' starts a comment; keys match the train flags.
+
+    A grid axis (backbone, conv, pool) takes space-separated values.
+    """
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -64,7 +74,10 @@ def load_config(path: str) -> dict:
             key = key.replace("-", "_")
             if key not in _TRAIN_OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            values[key] = _TRAIN_OPTIONS[key](value)
+            try:
+                values[key] = _config_value(key, value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -72,28 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graphpool")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # defaults live in _TRAIN_DEFAULTS so config files sit between them and
-    # explicit flags; unset flags stay absent from the namespace
-    train = sub.add_parser("train", help="train one configuration for several runs")
-    omit = argparse.SUPPRESS
+    train = sub.add_parser(
+        "train", help="train every backbone x conv x pool combination for several runs")
     train.add_argument("--config", help="key=value file supplying any flag; flags override")
-    train.add_argument("--dataset", default=omit, help="TUDataset name or synthetic:<kind>")
-    train.add_argument("--data-root", default=omit)
-    train.add_argument("--backbone", choices=sorted(_BACKBONE_ALIASES), default=omit)
-    train.add_argument("--conv", choices=harness.CONVS, default=omit)
-    train.add_argument("--pool", default=omit,
-                       choices=[p.replace("_", "-") for p in harness.POOLS])
-    train.add_argument("--ratio", type=float, default=omit)
-    train.add_argument("--runs", type=int, default=omit)
-    train.add_argument("--seed", type=int, default=omit)
-    train.add_argument("--max-epochs", type=int, default=omit)
-    train.add_argument("--patience", type=int, default=omit)
-    train.add_argument("--batch-size", type=int, default=omit)
-    train.add_argument("--lr", type=float, default=omit)
-    train.add_argument("--hidden", type=int, default=omit)
-    train.add_argument("--synthetic-size", type=int, default=omit,
-                       help="graph count for synthetic:<kind> datasets")
-    train.add_argument("--out", default=omit)
+    # unset flags stay absent from the namespace, so a config file sits
+    # between the table's defaults and explicit flags
+    for key, opt in _TRAIN_OPTIONS.items():
+        train.add_argument("--" + key.replace("_", "-"), type=opt.parse,
+                           default=argparse.SUPPRESS, choices=opt.choices or None,
+                           nargs="+" if opt.choices else None, help=opt.help)
 
     rank = sub.add_parser("rank", help="average-rank table from saved results")
     rank.add_argument("--in", dest="in_path", required=True)
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _train_settings(args: argparse.Namespace) -> dict:
     """Defaults, then the config file, then explicit flags."""
-    settings = dict(_TRAIN_DEFAULTS)
+    settings = {key: opt.default for key, opt in _TRAIN_OPTIONS.items()}
     if getattr(args, "config", None):
         settings.update(load_config(args.config))
     settings.update({k: v for k, v in vars(args).items() if k in _TRAIN_OPTIONS})
@@ -128,14 +128,18 @@ def load_dataset(opts: dict):
 
 def _cmd_train(args) -> int:
     opts = _train_settings(args)
+    out = opts["out"]
+    csv_path = os.path.splitext(out)[0] + ".csv"
+    if csv_path == out:
+        raise SystemExit(f"--out {out} and its records CSV {csv_path} are the same file; "
+                         "give --out another extension, e.g. .json")
     dataset = load_dataset(opts)
-    mcfg = harness.ModelConfig(
-        backbone=_BACKBONE_ALIASES[opts["backbone"]],
-        conv=opts["conv"],
-        pool=opts["pool"].replace("-", "_"),
-        hidden=opts["hidden"],
-        ratio=opts["ratio"],
-    )
+    models = [
+        harness.ModelConfig(backbone=_BACKBONE_ALIASES[backbone], conv=conv,
+                            pool=pool.replace("-", "_"), hidden=opts["hidden"],
+                            ratio=opts["ratio"])
+        for backbone in opts["backbone"] for conv in opts["conv"] for pool in opts["pool"]
+    ]
     tcfg = harness.TrainConfig(
         max_epochs=opts["max_epochs"],
         patience=opts["patience"],
@@ -146,18 +150,17 @@ def _cmd_train(args) -> int:
     print(f"dataset {dataset.name}: {len(dataset)} graphs, "
           f"{dataset.num_classes} classes, feature dim {dataset.feature_dim}")
     records = harness.evaluate_suite(
-        [mcfg], [dataset], opts["runs"], tcfg,
+        models, [dataset], opts["runs"], tcfg,
         progress=lambda r: print(
-            f"  seed {r.run_seed}: accuracy {r.test_accuracy:.4f} "
-            f"(best epoch {r.best_epoch}, {r.wall_time:.0f}s)"
+            f"  {r.model.backbone_label} {r.model.pool} seed {r.run_seed}: "
+            f"accuracy {r.test_accuracy:.4f} (best epoch {r.best_epoch}, {r.wall_time:.0f}s)"
         ),
     )
-    harness.save_records(records, opts["out"])
-    csv_path = os.path.splitext(opts["out"])[0] + ".csv"
+    harness.save_records(records, out)
     with open(csv_path, "w") as fh:
         fh.write(harness.records_csv(records))
     print(harness.summary_csv(records), end="")
-    print(f"wrote {opts['out']} and {csv_path}")
+    print(f"wrote {out} and {csv_path}")
     return 0
 
 

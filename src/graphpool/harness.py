@@ -330,8 +330,8 @@ def train(model: Model, splits: tuple[Dataset, Dataset, Dataset], cfg: TrainConf
             break
     if best_epoch <= 1:
         warnings.warn(
-            f"training stopped improving at epoch {best_epoch}; "
-            "the model may not be learning on this split",
+            f"training stopped improving at epoch {best_epoch} ({model.cfg.backbone_label} "
+            f"{model.cfg.pool}, seed {cfg.seed}); the model may not be learning on this split",
             stacklevel=2,
         )
     diff.restore(params, best_state)

@@ -1,3 +1,7 @@
+import os
+import re
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -11,7 +15,7 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("# comment\nlr = 0.001\nmax-epochs = 7\npool = topk\n")
         values = load_config(str(path))
-        assert values == {"lr": 0.001, "max_epochs": 7, "pool": "topk"}
+        assert values == {"lr": 0.001, "max_epochs": 7, "pool": ["topk"]}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -24,6 +28,19 @@ class TestConfigFile:
         path.write_text("just words\n")
         with pytest.raises(ValueError, match="key=value"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("key, value", [("backbone", "hier"), ("pool", "topk lcpoolstar")])
+    def test_grid_value_outside_choices_rejected(self, tmp_path, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = 1\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {key} takes one or more of")):
+            load_config(str(path))
+
+    def test_grid_values_accept_long_names_and_underscores(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("backbone = hierarchical p\npool = lcpool_star topk\n")
+        values = load_config(str(path))
+        assert values == {"backbone": ["hierarchical", "p"], "pool": ["lcpool-star", "topk"]}
 
 
 class TestTrainCommand:
@@ -79,6 +96,39 @@ class TestTrainCommand:
         assert text.splitlines()[0].startswith("backbone,")
         assert "1.0000" in text
 
+    def test_grid_trains_backbone_major_and_ranks(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, extra=["--pool", "topk", "sag",
+                                               "--backbone", "h", "p"])
+        assert code == 0
+        records = harness.load_records(out)
+        pairs = [(r.model.backbone, r.model.pool) for r in records]
+        assert pairs == [("hierarchical", "topk"), ("hierarchical", "sag"),
+                         ("plain", "topk"), ("plain", "sag")]
+        assert "plain/gcn sag seed 0:" in capsys.readouterr().out
+        ranking = tmp_path / "ranking.csv"
+        assert main(["rank", "--in", str(out), "--out", str(ranking)]) == 0
+        lines = ranking.read_text().splitlines()
+        assert lines[0] == "backbone,sag,topk"
+        assert [line.split(",")[0] for line in lines[1:]] == ["hierarchical/gcn", "plain/gcn"]
+
+    def test_config_file_grid_and_flag_override(self, tmp_path):
+        code, out = self._run(tmp_path, extra=["--backbone", "h", "p"],
+                              config_text="pool = topk sag\n")
+        assert code == 0
+        pairs = [(r.model.backbone, r.model.pool) for r in harness.load_records(out)]
+        assert pairs == [("hierarchical", "topk"), ("hierarchical", "sag"),
+                         ("plain", "topk"), ("plain", "sag")]
+        code, out = self._run(tmp_path, extra=["--backbone", "h", "p", "--pool", "nopool"],
+                              config_text="pool = topk sag\n")
+        assert code == 0
+        assert [r.model.pool for r in harness.load_records(out)] == ["nopool", "nopool"]
+
+    def test_out_colliding_with_records_csv_refused(self, tmp_path):
+        out = tmp_path / "results.csv"
+        with pytest.raises(SystemExit, match=re.escape(f"--out {out} and its records CSV {out} ")):
+            main(["train", "--dataset", "synthetic:cycles_vs_paths", "--out", str(out)])
+        assert not out.exists()
+
     def test_synthetic_kind_validated(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["train", "--dataset", "synthetic:bogus", "--out",
@@ -92,10 +142,24 @@ class TestTrainCommand:
 def test_parser_pool_choices_use_hyphens():
     parser = build_parser()
     args = parser.parse_args(["train", "--dataset", "x", "--pool", "lcpool-star"])
-    assert args.pool == "lcpool-star"
+    assert args.pool == ["lcpool-star"]
 
 
 def test_selftest_command_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 8 and "FAIL" not in out
+
+
+def test_console_entry_trains_a_pool_list(tmp_path):
+    out = tmp_path / "r.json"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphpool.cli", "train",
+         "--dataset", "synthetic:cycles_vs_paths", "--synthetic-size", "24",
+         "--pool", "topk", "nopool", "--runs", "1", "--max-epochs", "1",
+         "--hidden", "8", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(harness.load_records(out)) == 2

@@ -186,11 +186,11 @@ class TestTraining:
 
     def test_stop_at_first_epoch_warns(self):
         ds = tiny_dataset(30)
-        cfg = self._cfg(max_epochs=1)
+        cfg = self._cfg(max_epochs=1, seed=3)
         parts = split(ds, cfg.split_ratios, 0)
         model = build_model(ModelConfig(pool="nopool", **TINY), ds.feature_dim,
                             ds.num_classes, seed=0)
-        with pytest.warns(UserWarning, match="epoch"):
+        with pytest.warns(UserWarning, match=r"epoch 1 \(hierarchical/gcn nopool, seed 3\)"):
             train(model, parts, cfg)
 
     def test_evaluate_suite_counts(self):
