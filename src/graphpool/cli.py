@@ -134,12 +134,13 @@ def _cmd_train(args) -> int:
         raise SystemExit(f"--out {out} and its records CSV {csv_path} are the same file; "
                          "give --out another extension, e.g. .json")
     dataset = load_dataset(opts)
-    models = [
+    # a set of combinations: a repeated value or alias trains once, in first place
+    models = list(dict.fromkeys(
         harness.ModelConfig(backbone=_BACKBONE_ALIASES[backbone], conv=conv,
                             pool=pool.replace("-", "_"), hidden=opts["hidden"],
                             ratio=opts["ratio"])
         for backbone in opts["backbone"] for conv in opts["conv"] for pool in opts["pool"]
-    ]
+    ))
     tcfg = harness.TrainConfig(
         max_epochs=opts["max_epochs"],
         patience=opts["patience"],

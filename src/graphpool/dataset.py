@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CsrMatrix, row_indices
+from .sparse import CsrMatrix, ones_pattern, row_extents, row_indices
 
 SYNTHETIC_KINDS = ("cycles_vs_paths", "two_communities")
 
@@ -219,7 +219,8 @@ def load_tudataset(root: str, name: str) -> Dataset:
     classes = np.unique(raw_labels)
     labels = np.searchsorted(classes, raw_labels).tolist()
 
-    counts = np.bincount(node_graph, minlength=n_graphs)
+    bounds = row_extents(node_graph, n_graphs)
+    counts = np.diff(bounds)
     if not counts.all():
         g = int(np.argmin(counts))
         raise ValueError(f"{paths['graph_indicator']}: graph {g + 1} has no nodes")
@@ -262,11 +263,11 @@ def load_tudataset(root: str, name: str) -> Dataset:
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     keep = rows != cols
     # from_coo sums duplicates; only the pattern is kept
-    pattern = CsrMatrix.from_coo(n_nodes, n_nodes, rows[keep], cols[keep], np.ones(keep.sum()))
-    row_ptr, col_idx, ones = pattern.row_ptr, pattern.col_idx, np.ones(pattern.nnz)
-    stops = np.cumsum(counts)
+    pattern = ones_pattern(
+        CsrMatrix.from_coo(n_nodes, n_nodes, rows[keep], cols[keep], np.ones(keep.sum())))
+    row_ptr, col_idx, ones = pattern.row_ptr, pattern.col_idx, pattern.values
     graphs = []
-    for g, (lo, hi) in enumerate(zip((stops - counts).tolist(), stops.tolist())):
+    for g, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         s, e = int(row_ptr[lo]), int(row_ptr[hi])
         a = CsrMatrix(hi - lo, hi - lo, row_ptr[lo : hi + 1] - s, col_idx[s:e] - lo, ones[s:e])
         graphs.append(Graph(hi - lo, x_all[lo:hi], a, labels[g]))
@@ -287,8 +288,7 @@ def _graph_from_edges(n: int, und_edges: np.ndarray, label: int) -> Graph:
         cols = np.concatenate([und_edges[:, 1], und_edges[:, 0]])
     else:
         rows = cols = np.empty(0, dtype=np.int64)
-    pattern = CsrMatrix.from_coo(n, n, rows, cols, np.ones(rows.size))
-    a = CsrMatrix(n, n, pattern.row_ptr, pattern.col_idx, np.ones(pattern.nnz))
+    a = ones_pattern(CsrMatrix.from_coo(n, n, rows, cols, np.ones(rows.size)))
     return Graph(n, np.ones((n, 1)), a, label)
 
 

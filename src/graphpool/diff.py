@@ -143,20 +143,10 @@ def _segments(segment_id, n_rows: int) -> np.ndarray:
     return seg
 
 
-def _row_ptr(idx: np.ndarray, n_rows: int) -> np.ndarray:
-    """CSR row extents of the entries grouped by target row idx[e]."""
-    counts = np.bincount(idx, minlength=n_rows)
-    if counts.size > n_rows:
-        raise ValueError(f"row index {int(idx.max())} out of range for {n_rows} rows")
-    row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    return row_ptr
-
-
 def _index_sum(block: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
     """Sum row e of block into result row idx[e], in order of e, for any idx."""
     order = np.argsort(idx, kind="stable")
-    return sparse.row_sums(_row_ptr(idx, n_rows), block, take=order)
+    return sparse.row_sums(sparse.row_extents(idx, n_rows), block, take=order)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +374,13 @@ def segment_softmax(t: Tensor, segment_id) -> Tensor:
     return _record(out, rule)
 
 
-def _segment_bounds(seg: np.ndarray, n_segments: int) -> np.ndarray:
-    bounds = _row_ptr(seg, n_segments)
+def _segment_bounds(seg: np.ndarray, n_segments: int | None = None) -> np.ndarray:
+    """Row extents of each segment; n_segments defaults to the last id + 1."""
+    if n_segments is None:
+        if seg.size == 0:
+            raise ValueError("segment ids are empty")
+        n_segments = int(seg[-1]) + 1
+    bounds = sparse.row_extents(seg, n_segments)
     counts = np.diff(bounds)
     if np.any(counts == 0):
         missing = int(np.nonzero(counts == 0)[0][0])
@@ -395,8 +390,7 @@ def _segment_bounds(seg: np.ndarray, n_segments: int) -> np.ndarray:
 
 def segment_mean(x: Tensor, segment_id, n_segments: int | None = None) -> Tensor:
     seg = _segments(segment_id, x.rows)
-    n = int(seg[-1]) + 1 if n_segments is None else n_segments
-    bounds = _segment_bounds(seg, n)
+    bounds = _segment_bounds(seg, n_segments)
     counts = np.diff(bounds).astype(np.float64)
     out = Tensor(sparse.row_sums(bounds, x.values) / counts[:, None])
 
@@ -408,8 +402,8 @@ def segment_mean(x: Tensor, segment_id, n_segments: int | None = None) -> Tensor
 
 def segment_max(x: Tensor, segment_id, n_segments: int | None = None) -> Tensor:
     seg = _segments(segment_id, x.rows)
-    n = int(seg[-1]) + 1 if n_segments is None else n_segments
-    bounds = _segment_bounds(seg, n)
+    bounds = _segment_bounds(seg, n_segments)
+    n = bounds.size - 1
     vals = np.empty((n, x.cols))
     argrows = np.empty((n, x.cols), dtype=np.int64)
     cols = np.arange(x.cols)
@@ -443,7 +437,7 @@ def assignment_reduce(s: Tensor, x: Tensor, segment_id, k: int) -> Tensor:
         raise ValueError(f"assignment width {s.cols} != {k}")
     seg = _segments(segment_id, x.rows)
     n = int(seg[-1]) + 1 if seg.size else 0
-    bounds = _row_ptr(seg, n)
+    bounds = sparse.row_extents(seg, n)
     out = Tensor(sparse.spmm(sparse.block_transpose(s.values, bounds), x.values))
 
     def rule(g):

@@ -47,18 +47,6 @@ def kept_count(ratio: float, n: int) -> int:
     return max(1, math.ceil(ratio * n - 1e-9))
 
 
-def _graph_sizes(graph_id) -> np.ndarray:
-    gid = np.asarray(graph_id, dtype=np.int64)
-    if gid.size == 0:
-        raise ValueError("cannot pool an empty batch")
-    if gid[0] < 0 or np.any(np.diff(gid) < 0):
-        raise ValueError("graph ids must be non-negative and non-decreasing")
-    sizes = np.bincount(gid)
-    if np.any(sizes == 0):
-        raise ValueError("every graph in the batch needs at least one node")
-    return sizes
-
-
 def topk(h: Tensor, graph_id, ratio: float) -> IndexSet:
     """Indices of the top-scoring nodes of each graph, ties to lower index.
 
@@ -67,16 +55,12 @@ def topk(h: Tensor, graph_id, ratio: float) -> IndexSet:
     """
     if h.cols != 1:
         raise ValueError("scores must be one column")
-    gid = np.asarray(graph_id, dtype=np.int64)
-    sizes = _graph_sizes(gid)
-    if h.rows != int(sizes.sum()):
-        raise ValueError("scores must align with graph ids")
+    gid = diff._segments(graph_id, h.rows)
+    bounds = diff._segment_bounds(gid)
+    sizes = np.diff(bounds)
     scores = h.values[:, 0]
-    bounds = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=bounds[1:])
     kept = []
-    for g in range(sizes.size):
-        lo, hi = int(bounds[g]), int(bounds[g + 1])
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         k = kept_count(ratio, hi - lo)
         order = np.argsort(-scores[lo:hi], kind="stable")  # stable: ties keep low index
         kept.append(lo + np.sort(order[:k]))
@@ -115,13 +99,12 @@ def dense_assignment_pool(x: Tensor, a: CsrMatrix, assign_fn, k_clusters: int, g
     """
     if k_clusters < 1:
         raise ValueError("need at least one cluster")
-    gid = np.asarray(graph_id, dtype=np.int64)
-    sizes = _graph_sizes(gid)
-    n_pooled = sizes.size * k_clusters
+    gid = diff._segments(graph_id, x.rows)
+    bounds = diff._segment_bounds(gid)
+    n_graphs = bounds.size - 1
+    n_pooled = n_graphs * k_clusters
     s = assign_fn(x, a, gid)
     pooled_x = diff.assignment_reduce(s, x, gid, k_clusters)
-
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
     blocks = sparse.spmm(sparse.block_transpose(s.values, bounds), sparse.spmm(a, s.values))
     blocks[np.arange(n_pooled), np.arange(n_pooled) % k_clusters] = 0.0  # diagonal
     rows, cols = np.nonzero(blocks)
@@ -133,7 +116,7 @@ def dense_assignment_pool(x: Tensor, a: CsrMatrix, assign_fn, k_clusters: int, g
         a=pooled_a,
         kept=IndexSet.all(n_pooled),
         scores=diff.constant(np.ones((x.rows, 1))),
-        graph_id=np.repeat(np.arange(sizes.size, dtype=np.int64), k_clusters),
+        graph_id=np.repeat(np.arange(n_graphs, dtype=np.int64), k_clusters),
     )
 
 

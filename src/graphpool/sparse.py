@@ -5,6 +5,8 @@ matrix is canonical: row extents are monotone, column indices strictly
 increase within each row, duplicate entries are summed, and exact zeros are
 not stored.  Values are float64, so integer-valued inputs stay exact through
 products and sums (well below 2**53).
+Two routes build one: :meth:`CsrMatrix.from_coo` canonicalizes arbitrary
+triplets, and the constructor trusts arrays that are canonical already.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "hop_closure",
     "is_symmetric",
     "ones_pattern",
+    "row_extents",
     "row_indices",
     "row_sums",
     "select_cols",
@@ -69,7 +72,10 @@ class IndexSet:
 
 @dataclass(frozen=True, eq=False)
 class CsrMatrix:
-    """Canonical CSR matrix; construct through :meth:`from_coo` or friends."""
+    """Canonical CSR matrix.  :meth:`from_coo` checks, sorts and sums any
+    triplets; the constructor trusts arrays canonical by construction (from
+    ``empty``, ``identity``, ``transpose``, ``block_transpose`` and the entry
+    filter behind ``select_cols``, ``select_rows_cols``, ``strip_diagonal``)."""
 
     n_rows: int
     n_cols: int
@@ -110,11 +116,7 @@ class CsrMatrix:
         summed = np.bincount(inverse, weights=vals, minlength=uniq.size)
         keep = summed != 0.0
         uniq, summed = uniq[keep], summed[keep]
-        out_rows = uniq // n_cols
-        out_cols = uniq % n_cols
-        row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(out_rows, minlength=n_rows), out=row_ptr[1:])
-        return cls(n_rows, n_cols, row_ptr, out_cols.astype(np.int64), summed)
+        return cls(n_rows, n_cols, row_extents(uniq // n_cols, n_rows), uniq % n_cols, summed)
 
     @classmethod
     def empty(cls, n_rows: int, n_cols: int) -> "CsrMatrix":
@@ -130,6 +132,20 @@ class CsrMatrix:
     def identity(cls, n: int) -> "CsrMatrix":
         idx = np.arange(n, dtype=np.int64)
         return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
+
+
+def row_extents(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """CSR row_ptr of entries grouped by their row ids, in any order.
+
+    Row r owns ``row_ptr[r] .. row_ptr[r + 1] - 1``, one slot per entry
+    whose id is r.  An id outside ``0 .. n_rows - 1`` raises ValueError.
+    """
+    counts = np.bincount(rows, minlength=n_rows)
+    if counts.size > n_rows:
+        raise ValueError(f"row index {int(rows.max())} out of range for {n_rows} rows")
+    row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=row_ptr[1:])
+    return row_ptr
 
 
 def row_indices(a: CsrMatrix) -> np.ndarray:
@@ -281,7 +297,10 @@ def spmm(a: CsrMatrix, x) -> np.ndarray:
 
 
 def transpose(a: CsrMatrix) -> CsrMatrix:
-    return CsrMatrix.from_coo(a.n_cols, a.n_rows, a.col_idx, row_indices(a), a.values)
+    """aᵀ: a stable sort by column keeps each column's entries in row order."""
+    order = np.argsort(a.col_idx, kind="stable")
+    return CsrMatrix(a.n_cols, a.n_rows, row_extents(a.col_idx, a.n_cols),
+                     row_indices(a)[order], a.values[order])
 
 
 def block_transpose(values, segment_ptr) -> CsrMatrix:
@@ -296,9 +315,7 @@ def block_transpose(values, segment_ptr) -> CsrMatrix:
     first = (np.asarray(segment_ptr[:-1])[:, None] + np.arange(k) * n).ravel()
     flat = np.arange(ends[-1]) + np.repeat(first - ends[:-1], np.diff(ends))
     vals = values.T.ravel()[flat]
-    keep = vals != 0.0
-    kept_before = np.concatenate([[0], np.cumsum(keep)])
-    return CsrMatrix(ends.size - 1, n, kept_before[ends], flat[keep] % n, vals[keep])
+    return _keep_entries(ends, flat % n, vals, vals != 0.0, n)
 
 
 def add(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
@@ -326,17 +343,24 @@ def ones_pattern(a: CsrMatrix) -> CsrMatrix:
     return CsrMatrix(a.n_rows, a.n_cols, a.row_ptr, a.col_idx, np.ones(a.nnz))
 
 
+def _keep_entries(row_ptr, cols, values, keep, n_cols: int) -> CsrMatrix:
+    """The entries where keep holds, in stored order, as a canonical matrix.
+
+    Rows keep their extents in row_ptr, which must leave no kept entry
+    outside them; cols must increase within each row where keep holds.
+    """
+    kept_before = np.concatenate([[0], np.cumsum(keep)])
+    return CsrMatrix(row_ptr.size - 1, n_cols, kept_before[row_ptr], cols[keep], values[keep])
+
+
 def select_cols(a: CsrMatrix, idx: IndexSet) -> CsrMatrix:
     """Keep the listed columns, renumbered by their position in idx."""
     if len(idx) and idx.indices[-1] >= a.n_cols:
         raise ValueError("column index out of range")
     lookup = np.full(a.n_cols, -1, dtype=np.int64)
     lookup[idx.indices] = np.arange(len(idx), dtype=np.int64)
-    new_cols = lookup[a.col_idx] if a.nnz else a.col_idx
-    keep = new_cols >= 0
-    return CsrMatrix.from_coo(
-        a.n_rows, len(idx), row_indices(a)[keep], new_cols[keep], a.values[keep]
-    )
+    new_cols = lookup[a.col_idx]
+    return _keep_entries(a.row_ptr, new_cols, a.values, new_cols >= 0, len(idx))
 
 
 def select_rows_cols(a: CsrMatrix, idx: IndexSet) -> CsrMatrix:
@@ -347,13 +371,11 @@ def select_rows_cols(a: CsrMatrix, idx: IndexSet) -> CsrMatrix:
         raise ValueError("index out of range")
     lookup = np.full(a.n_rows, -1, dtype=np.int64)
     lookup[idx.indices] = np.arange(len(idx), dtype=np.int64)
-    rows = row_indices(a)
-    new_rows = lookup[rows] if a.nnz else rows
-    new_cols = lookup[a.col_idx] if a.nnz else a.col_idx
-    keep = (new_rows >= 0) & (new_cols >= 0)
-    return CsrMatrix.from_coo(
-        len(idx), len(idx), new_rows[keep], new_cols[keep], a.values[keep]
-    )
+    new_cols = lookup[a.col_idx]
+    keep = (lookup[row_indices(a)] >= 0) & (new_cols >= 0)
+    # kept row i spans the old rows after the previous kept one, up to itself
+    row_ptr = a.row_ptr[np.concatenate([[0], idx.indices + 1])]
+    return _keep_entries(row_ptr, new_cols, a.values, keep, len(idx))
 
 
 def is_symmetric(a: CsrMatrix) -> bool:
@@ -389,9 +411,5 @@ def hop_closure(a: CsrMatrix, symmetric: bool) -> CsrMatrix:
 def strip_diagonal(a: CsrMatrix) -> CsrMatrix:
     if a.n_rows != a.n_cols:
         raise ValueError("diagonal is defined for square matrices")
-    rows = row_indices(a)
-    keep = rows != a.col_idx
-    return CsrMatrix.from_coo(
-        a.n_rows, a.n_cols, rows[keep], a.col_idx[keep], a.values[keep]
-    )
+    return _keep_entries(a.row_ptr, a.col_idx, a.values, row_indices(a) != a.col_idx, a.n_cols)
 

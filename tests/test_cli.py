@@ -111,6 +111,12 @@ class TestTrainCommand:
         assert lines[0] == "backbone,sag,topk"
         assert [line.split(",")[0] for line in lines[1:]] == ["hierarchical/gcn", "plain/gcn"]
 
+    def test_repeated_grid_values_train_once(self, tmp_path):
+        code, out = self._run(tmp_path, extra=["--backbone", "h", "hierarchical",
+                                               "--pool", "topk", "topk"])
+        assert code == 0
+        assert len(harness.load_records(out)) == 1
+
     def test_config_file_grid_and_flag_override(self, tmp_path):
         code, out = self._run(tmp_path, extra=["--backbone", "h", "p"],
                               config_text="pool = topk sag\n")

@@ -253,11 +253,21 @@ class TestDenseOracleEquivalence:
     """Every kernel op must agree with plain dense arithmetic, exactly."""
 
     def test_random_suite(self):
+        def check(got, want):
+            # structural ops build no triplets, yet match the from_coo route
+            sparse.validate(got)
+            assert sparse.equal(got, from_dense(want))
+
         rng = np.random.default_rng(42)
-        for _ in range(60):
-            n = int(rng.integers(1, 41))
-            m = int(rng.integers(1, 41))
-            k = int(rng.integers(1, 41))
+        # shapes with no rows, no columns or neither come first
+        edge_shapes = [(0, 4, 3), (5, 0, 2), (0, 0, 0), (3, 6, 0)]
+        for trial in range(len(edge_shapes) + 60):
+            if trial < len(edge_shapes):
+                n, m, k = edge_shapes[trial]
+            else:
+                n = int(rng.integers(1, 41))
+                m = int(rng.integers(1, 41))
+                k = int(rng.integers(1, 41))
             ad = random_integer_dense(rng, n, m)
             bd = random_integer_dense(rng, m, k)
             cd = random_integer_dense(rng, n, m)
@@ -267,20 +277,21 @@ class TestDenseOracleEquivalence:
             assert np.array_equal(sparse.to_dense(sparse.spgemm(a, b)), ad @ bd)
             x = rng.integers(-3, 4, (m, 3)).astype(np.float64)
             assert np.array_equal(sparse.spmm(a, x), ad @ x)
-            assert np.array_equal(sparse.to_dense(sparse.transpose(a)), ad.T)
             assert np.array_equal(sparse.to_dense(sparse.add(a, c)), ad + cd)
-            idx = IndexSet(np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)))
-            assert np.array_equal(
-                sparse.to_dense(sparse.select_cols(a, idx)), ad[:, idx.indices]
-            )
-            sq = from_dense(ad[: min(n, m), : min(n, m)])
-            sq_d = sparse.to_dense(sq)
+            check(sparse.transpose(a), ad.T)
+            empty = IndexSet(np.empty(0, dtype=np.int64))
+            idx = IndexSet(np.sort(rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False)))
+            for cols in (idx, empty):
+                check(sparse.select_cols(a, cols), ad[:, cols.indices])
+            sq_d = ad[: min(n, m), : min(n, m)]
+            sq = from_dense(sq_d)
             jdx = IndexSet(np.sort(rng.choice(
-                sq.n_rows, size=int(rng.integers(1, sq.n_rows + 1)), replace=False)))
-            assert np.array_equal(
-                sparse.to_dense(sparse.select_rows_cols(sq, jdx)),
-                sq_d[np.ix_(jdx.indices, jdx.indices)],
-            )
+                sq.n_rows, size=int(rng.integers(0, sq.n_rows + 1)), replace=False)))
+            for keep in (jdx, empty):
+                check(sparse.select_rows_cols(sq, keep), sq_d[np.ix_(keep.indices, keep.indices)])
+            check(sparse.strip_diagonal(sq), sq_d - np.diag(np.diag(sq_d)))
+            diagonal = np.diag(rng.integers(1, 4, sq.n_rows).astype(np.float64))
+            check(sparse.strip_diagonal(from_dense(diagonal)), np.zeros_like(diagonal))
 
     def test_selection_commutes_with_product(self):
         # column selection before the triple product == index selection after
