@@ -151,7 +151,7 @@ def _cmd_train(args) -> int:
     print(f"dataset {dataset.name}: {len(dataset)} graphs, "
           f"{dataset.num_classes} classes, feature dim {dataset.feature_dim}")
     records = harness.evaluate_suite(
-        models, [dataset], opts["runs"], tcfg,
+        models, dataset, opts["runs"], tcfg,
         progress=lambda r: print(
             f"  {r.model.backbone_label} {r.model.pool} seed {r.run_seed}: "
             f"accuracy {r.test_accuracy:.4f} (best epoch {r.best_epoch}, {r.wall_time:.0f}s)"

@@ -5,10 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -181,7 +180,7 @@ def _make_pool(cfg: ModelConfig, stage: int, rng, name: str, mean_nodes: float |
         else:
             raise ValueError("dense pooling needs dense_clusters or dataset statistics")
         # later stages shrink by the same ratio, mirroring the adaptive pools
-        k = max(1, math.ceil(base * cfg.ratio**stage - 1e-9))
+        k = int(pooling.kept_count(cfg.ratio**stage, base))
         return DensePool(cfg.hidden, k, rng, name)
     if cfg.pool == "lcpool":
         return LcPool(cfg.hidden, cfg.ratio, rng, name)
@@ -346,26 +345,25 @@ def train(model: Model, splits: tuple[Dataset, Dataset, Dataset], cfg: TrainConf
     )
 
 
-def evaluate_suite(models, datasets, runs: int, cfg: TrainConfig,
+def evaluate_suite(models, dataset: Dataset, runs: int, cfg: TrainConfig,
                    progress=None) -> list[RunRecord]:
-    """Train each configuration ``runs`` times per dataset, fresh split per run."""
+    """Train each configuration ``runs`` times on the dataset, fresh split per run."""
     if runs < 1:
         raise ValueError("need at least one run")
     records = []
-    for dataset in datasets:
-        for mcfg in models:
-            for r in range(runs):
-                run_seed = cfg.seed + r
-                run_cfg = replace(cfg, seed=run_seed)
-                parts = split(dataset, cfg.split_ratios, run_seed)
-                model = build_model(
-                    mcfg, dataset.feature_dim, dataset.num_classes, run_seed,
-                    mean_nodes=dataset.mean_nodes,
-                )
-                record = train(model, parts, run_cfg)
-                records.append(record)
-                if progress is not None:
-                    progress(record)
+    for mcfg in models:
+        for r in range(runs):
+            run_seed = cfg.seed + r
+            run_cfg = replace(cfg, seed=run_seed)
+            parts = split(dataset, cfg.split_ratios, run_seed)
+            model = build_model(
+                mcfg, dataset.feature_dim, dataset.num_classes, run_seed,
+                mean_nodes=dataset.mean_nodes,
+            )
+            record = train(model, parts, run_cfg)
+            records.append(record)
+            if progress is not None:
+                progress(record)
     return records
 
 
@@ -382,19 +380,8 @@ class RankingTable:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Descending competition-free ranks; tied values share the mean rank."""
-    order = np.argsort(-values, kind="stable")
-    ranks = np.arange(1, values.size + 1, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[i : j + 1] = ranks[i : j + 1].mean()
-        i = j + 1
-    out = np.empty_like(ranks)
-    out[order] = ranks
-    return out
+    _, inverse, counts = np.unique(-values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def rank_table(means: dict[tuple[str, str, str], float]) -> RankingTable:
@@ -434,27 +421,6 @@ _CSV_COLUMNS = ("backbone", "conv", "pool", "dataset", "run_seed",
                 "test_accuracy", "best_epoch", "wall_time")
 
 
-def _record_to_dict(rec: RunRecord) -> dict:
-    model = {
-        "backbone": rec.model.backbone,
-        "conv": rec.model.conv,
-        "pool": rec.model.pool,
-        "hidden": rec.model.hidden,
-        "ratio": rec.model.ratio,
-        "pre_mlp": list(rec.model.pre_mlp),
-        "post_mlp": list(rec.model.post_mlp),
-        "dense_clusters": rec.model.dense_clusters,
-    }
-    return {
-        "model": model,
-        "dataset": rec.dataset,
-        "run_seed": rec.run_seed,
-        "test_accuracy": rec.test_accuracy,
-        "best_epoch": rec.best_epoch,
-        "wall_time": rec.wall_time,
-    }
-
-
 def _record_from_dict(data: dict) -> RunRecord:
     m = dict(data["model"])
     m["pre_mlp"] = tuple(m["pre_mlp"])
@@ -471,7 +437,7 @@ def _record_from_dict(data: dict) -> RunRecord:
 
 def save_records(records: list[RunRecord], path) -> None:
     with open(path, "w") as fh:
-        json.dump({"records": [_record_to_dict(r) for r in records]}, fh, indent=2)
+        json.dump({"records": [asdict(r) for r in records]}, fh, indent=2)
         fh.write("\n")
 
 

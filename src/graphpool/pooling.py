@@ -9,7 +9,6 @@ constant sparse assignment matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,50 +40,56 @@ def check_ratio(ratio: float) -> float:
     return float(ratio)
 
 
-def kept_count(ratio: float, n: int) -> int:
-    """max(1, ceil(ratio * n)); the subtraction guards float noise like 0.3*10."""
+def kept_count(ratio: float, n: int | np.ndarray):
+    """max(1, ceil(ratio * n)), elementwise on an array of sizes; the
+    subtraction guards float noise like 0.3*10."""
     check_ratio(ratio)
-    return max(1, math.ceil(ratio * n - 1e-9))
+    return np.maximum(1, np.ceil(ratio * np.asarray(n) - 1e-9).astype(np.int64))
 
 
 def topk(h: Tensor, graph_id, ratio: float) -> IndexSet:
     """Indices of the top-scoring nodes of each graph, ties to lower index.
 
     Per graph g of size n_g, exactly max(1, ceil(ratio * n_g)) nodes are
-    kept, so no graph ever pools to nothing.
+    kept, so no graph ever pools to nothing.  One stable sort by (graph,
+    -score) ranks every node within its graph.
     """
     if h.cols != 1:
         raise ValueError("scores must be one column")
     gid = diff._segments(graph_id, h.rows)
     bounds = diff._segment_bounds(gid)
-    sizes = np.diff(bounds)
-    scores = h.values[:, 0]
-    kept = []
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        k = kept_count(ratio, hi - lo)
-        order = np.argsort(-scores[lo:hi], kind="stable")  # stable: ties keep low index
-        kept.append(lo + np.sort(order[:k]))
-    idx = np.concatenate(kept)
-    counts = np.bincount(gid[idx], minlength=sizes.size)
-    expected = np.array([kept_count(ratio, int(n)) for n in sizes])
-    if not np.array_equal(counts, expected):
+    k = kept_count(ratio, np.diff(bounds))
+    order = np.lexsort((-h.values[:, 0], gid))  # stable: ties keep low index
+    rank = np.arange(gid.size) - bounds[gid]  # gid is sorted, so gid[order] == gid
+    idx = np.sort(order[rank < k[gid]])
+    if not np.array_equal(np.bincount(gid[idx], minlength=k.size), k):
         raise RuntimeError("per-graph kept counts drifted from max(1, ceil(ratio*n))")
     return IndexSet(idx)
 
 
-def node_selection_pool(x: Tensor, a: CsrMatrix, score_fn, ratio: float, graph_id) -> PoolResult:
-    """Keep top-scored nodes and the induced subgraph only."""
+def _select_and_gate(x_star: Tensor, a: CsrMatrix, score_fn, graph_id, ratio: float,
+                     pooled_adjacency) -> PoolResult:
+    """Score x*, keep each graph's top nodes, gate them by their score.
+
+    pooled_adjacency maps the kept set to the pooled graph's adjacency.
+    """
     gid = np.asarray(graph_id, dtype=np.int64)
-    h = score_fn(x, a, gid)
+    h = score_fn(x_star, a, gid)
     kept = topk(h, gid, ratio)
-    gated = diff.broadcast_col(x, h)
+    gated = diff.broadcast_col(x_star, h)
     return PoolResult(
         x=diff.gather_rows(gated, kept.indices),
-        a=sparse.select_rows_cols(a, kept),
+        a=pooled_adjacency(kept),
         kept=kept,
         scores=h,
         graph_id=gid[kept.indices],
     )
+
+
+def node_selection_pool(x: Tensor, a: CsrMatrix, score_fn, ratio: float, graph_id) -> PoolResult:
+    """Keep top-scored nodes and the induced subgraph only."""
+    return _select_and_gate(x, a, score_fn, graph_id, ratio,
+                            lambda kept: sparse.select_rows_cols(a, kept))
 
 
 def dense_assignment_pool(x: Tensor, a: CsrMatrix, assign_fn, k_clusters: int, graph_id) -> PoolResult:
@@ -155,20 +160,11 @@ def local_assignment_selection_pool(
     neighbour; the pooled adjacency is :func:`rewire` over the kept columns,
     so pooled nodes connect whenever their contributors do.
     """
-    gid = np.asarray(graph_id, dtype=np.int64)
     s = assign_fn(x, a)
     validate_local_assignment(s, a)
     x_star = diff.spmm_const(sparse.transpose(s), x)
-    h = score_fn(x_star, a, gid)
-    kept = topk(h, gid, ratio)
-    gated = diff.broadcast_col(x_star, h)
-    return PoolResult(
-        x=diff.gather_rows(gated, kept.indices),
-        a=rewire(s, a, kept),
-        kept=kept,
-        scores=h,
-        graph_id=gid[kept.indices],
-    )
+    return _select_and_gate(x_star, a, score_fn, graph_id, ratio,
+                            lambda kept: rewire(s, a, kept))
 
 
 def local_cluster_selection_pool(
@@ -184,18 +180,11 @@ def local_cluster_selection_pool(
     """
     if a.nnz and np.any(a.values != 1.0):
         raise ValueError("cluster selection requires unweighted edges")
-    gid = np.asarray(graph_id, dtype=np.int64)
     x_star = cluster_fn(x, a)
-    h = score_fn(x_star, a, gid)
-    kept = topk(h, gid, ratio)
-    gated = diff.broadcast_col(x_star, h)
-    pooled_a = rewire(sparse.add_self_loops(a), a, kept)
-    return PoolResult(
-        x=diff.gather_rows(gated, kept.indices),
-        a=sparse.strip_diagonal(sparse.ones_pattern(pooled_a)),
-        kept=kept,
-        scores=h,
-        graph_id=gid[kept.indices],
+    return _select_and_gate(
+        x_star, a, score_fn, graph_id, ratio,
+        lambda kept: sparse.strip_diagonal(
+            sparse.ones_pattern(rewire(sparse.add_self_loops(a), a, kept))),
     )
 
 

@@ -454,7 +454,7 @@ def check_size_adaptivity(trials: int = 50, seed: int = 8) -> CheckResult:
         scorer = Lcsmp(2, rng, "probe")
         result = pooling.lcpool(diff.constant(batch.x), batch.a, scorer, ratio, batch.graph_id)
         counts = np.bincount(result.graph_id, minlength=len(sizes))
-        expected = np.array([pooling.kept_count(ratio, int(n)) for n in sizes])
+        expected = pooling.kept_count(ratio, sizes)
         if not np.array_equal(counts, expected):
             return CheckResult("size-adaptivity", False, f"counts {counts} != {expected}")
     return CheckResult("size-adaptivity", True, f"{trials} random batches match the formula")
@@ -467,7 +467,7 @@ def check_synthetic_learning(runs: int = 3, seed: int = 0, max_epochs: int = 200
     cfg = harness.TrainConfig(max_epochs=max_epochs, seed=seed)
     records = harness.evaluate_suite(
         [harness.ModelConfig(backbone="hierarchical", pool="lcpool")],
-        [dataset], runs, cfg,
+        dataset, runs, cfg,
     )
     accs = [r.test_accuracy for r in records]
     times = [r.wall_time for r in records]

@@ -1,8 +1,12 @@
-"""Shared fixtures-in-code: tiny named graphs and random generators."""
+"""Shared fixtures-in-code: tiny named graphs, random generators, and a
+training fingerprint."""
+
+import hashlib
 
 import numpy as np
 
-from graphpool import sparse
+from graphpool import diff, harness, sparse
+from graphpool.dataset import make_batch, make_synthetic
 from graphpool.sparse import CsrMatrix
 
 
@@ -43,3 +47,36 @@ def random_adjacency_dense(rng, n, p=0.35, directed=False):
     if not directed:
         dense |= dense.T
     return dense.astype(np.float64)
+
+
+def training_fingerprint() -> str:
+    """sha256 of the losses and final parameters of a fixed-seed Adam run.
+
+    Every pool under both backbones trains 4 Adam steps (16-graph batches,
+    hidden 32, lr 0.01) on each synthetic kind.  It uses only long-standing
+    public names, so pointing ``PYTHONPATH`` at another checkout's ``src``
+    fingerprints that checkout; with one BLAS thread, two commits that
+    compute the same results give the same digest.
+    """
+    digest = hashlib.sha256()
+    for kind in ("cycles_vs_paths", "two_communities"):
+        data = make_synthetic(kind, 64, seed=5)
+        batches = [make_batch(data.graphs[lo : lo + 16]) for lo in range(0, 64, 16)]
+        for backbone in ("hierarchical", "plain"):
+            for pool in ("nopool", "topk", "sag", "dense", "lcpool", "lcpool_star"):
+                cfg = harness.ModelConfig(backbone=backbone, pool=pool, hidden=32,
+                                          pre_mlp=(32,), post_mlp=(32,))
+                model = harness.build_model(cfg, data.feature_dim, data.num_classes,
+                                            seed=0, mean_nodes=data.mean_nodes)
+                params = model.parameters()
+                opt = diff.Adam(params, lr=0.01)
+                for batch in batches:
+                    with diff.Tape():
+                        loss = diff.cross_entropy(model.forward(batch), batch.labels)
+                    opt.zero_grad()
+                    diff.backward(loss)
+                    opt.step()
+                    digest.update(loss.values.tobytes())
+                for p in params:
+                    digest.update(p.tensor.values.tobytes())
+    return digest.hexdigest()

@@ -101,7 +101,7 @@ def test_09_optional_benchmark_comparison_reported():
     dataset = load_tudataset(DATA_ROOT, "PROTEINS")
     records = harness.evaluate_suite(
         [harness.ModelConfig(backbone="hierarchical", conv="gcn", pool="lcpool")],
-        [dataset], runs=10, cfg=harness.TrainConfig(),
+        dataset, runs=10, cfg=harness.TrainConfig(),
     )
     mean = 100.0 * float(np.mean([r.test_accuracy for r in records]))
     inside = abs(mean - 75.71) <= 5.0

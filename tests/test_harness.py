@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import training_fingerprint
 from graphpool import diff, harness, sparse
 from graphpool.dataset import Graph, make_batch, make_synthetic, split
 from graphpool.harness import (
@@ -11,6 +12,7 @@ from graphpool.harness import (
     RunRecord,
     TrainConfig,
     TrainingDiverged,
+    _average_ranks,
     _improved,
     _should_stop,
     accuracy,
@@ -198,11 +200,23 @@ class TestTraining:
         cfg = self._cfg(max_epochs=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            records = evaluate_suite([ModelConfig(pool="nopool", **TINY)], [ds], 2, cfg)
+            records = evaluate_suite([ModelConfig(pool="nopool", **TINY)], ds, 2, cfg)
         assert [r.run_seed for r in records] == [0, 1]
+
+    def test_training_fingerprint_is_deterministic(self):
+        # reading a buffer before it is written would make two runs differ
+        assert training_fingerprint() == training_fingerprint()
 
 
 class TestRanking:
+    def test_average_ranks_match_definition(self):
+        # rank of v: values above it, plus the mean position among its ties
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            v = rng.integers(0, 4, size=int(rng.integers(1, 9))) / 4
+            expected = [(v > x).sum() + ((v == x).sum() + 1) / 2 for x in v]
+            assert _average_ranks(v).tolist() == expected
+
     def test_single_approach_ranks_first(self):
         means = {("b", "ds1", "only"): 0.9, ("b", "ds2", "only"): 0.1}
         table = rank_table(means)

@@ -60,6 +60,30 @@ class TestTopk:
         assert kept_count(0.3, 10) == 3  # float noise must not bump the ceiling
         assert kept_count(0.1, 1) == 1
 
+    def test_random_batches_match_per_graph_sort(self):
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            sizes = rng.integers(1, 15, size=int(rng.integers(1, 8)))
+            gid = np.repeat(np.arange(sizes.size), sizes)
+            if trial % 2:  # ties within and across graphs
+                s = rng.integers(0, 3, size=gid.size).astype(np.float64)
+            else:
+                s = rng.normal(size=gid.size)
+            ratio = float(rng.choice([0.1, 1 / 3, 0.5, 0.7, 1.0]))
+            expected = []
+            lo = 0
+            for n in sizes.tolist():
+                order = np.argsort(-s[lo : lo + n], kind="stable")
+                expected.extend(sorted((lo + order[: kept_count(ratio, n)]).tolist()))
+                lo += n
+            kept = topk(constant(s[:, None]), gid, ratio)
+            assert kept.indices.tolist() == expected
+
+    def test_kept_count_elementwise_matches_scalar(self):
+        sizes = np.arange(0, 40)
+        for ratio in (0.1, 0.3, 1 / 3, 0.5, 0.7, 1.0):
+            assert kept_count(ratio, sizes).tolist() == [kept_count(ratio, int(n)) for n in sizes]
+
     def test_bad_ratio(self):
         with pytest.raises(ValueError):
             kept_count(0.0, 3)
