@@ -165,11 +165,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, rule)
 
 
-def transpose(t: Tensor) -> Tensor:
-    out = Tensor(t.values.T.copy())
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """x @ weight^T, plus the 1 x out bias row when given, as one tape entry.
+
+    ``weight`` is (out, in).  The product runs against a contiguous copy of
+    weight^T and the weight gradient is formed as (x^T g)^T: OpenBLAS's
+    small-matrix path gives other bits for the ``weight.T`` view.
+    """
+    if x.cols != weight.cols:
+        raise ValueError(f"linear shape mismatch: {x.shape} @ {weight.shape}^T")
+    if bias is not None and bias.shape != (1, weight.rows):
+        raise ValueError(f"bias shape {bias.shape} does not match {weight.rows} outputs")
+    wt = weight.values.T.copy()
+    out = Tensor(x.values @ wt)
+    if bias is not None:
+        out.values += bias.values
 
     def rule(g):
-        _accumulate(t, g.T)
+        _accumulate(x, g @ wt.T)
+        _accumulate(weight, (x.values.T @ g).T)
+        if bias is not None:
+            _accumulate(bias, g.sum(axis=0, keepdims=True))
 
     return _record(out, rule)
 

@@ -14,7 +14,7 @@ from .sparse import CsrMatrix
 
 
 class Linear:
-    """x @ W^T + b with W of shape (out_dim, in_dim)."""
+    """x @ W^T + b with W of shape (out_dim, in_dim); one tape entry per call."""
 
     def __init__(self, in_dim: int, out_dim: int, rng, name: str, bias: bool = True):
         bound = 1.0 / np.sqrt(in_dim)
@@ -22,10 +22,8 @@ class Linear:
         self.bias = Parameter(f"{name}.b", np.zeros((1, out_dim))) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = diff.matmul(x, diff.transpose(self.weight.tensor))
-        if self.bias is not None:
-            out = diff.add_bias(out, self.bias.tensor)
-        return out
+        bias = None if self.bias is None else self.bias.tensor
+        return diff.linear(x, self.weight.tensor, bias)
 
     def parameters(self) -> list[Parameter]:
         params = [self.weight]
@@ -73,7 +71,7 @@ class GcnConv:
 
     def __call__(self, x: Tensor, a: CsrMatrix) -> Tensor:
         agg = diff.spmm_const(gcn_normalized(a), x)
-        return diff.matmul(agg, diff.transpose(self.weight.tensor))
+        return diff.linear(agg, self.weight.tensor)
 
     def parameters(self) -> list[Parameter]:
         return [self.weight]
@@ -88,8 +86,8 @@ class GraphConv:
         self.w_nbr = Parameter(f"{name}.w2", rng.uniform(-bound, bound, (out_dim, in_dim)))
 
     def __call__(self, x: Tensor, a: CsrMatrix) -> Tensor:
-        own = diff.matmul(x, diff.transpose(self.w_root.tensor))
-        agg = diff.matmul(diff.spmm_const(a, x), diff.transpose(self.w_nbr.tensor))
+        own = diff.linear(x, self.w_root.tensor)
+        agg = diff.linear(diff.spmm_const(a, x), self.w_nbr.tensor)
         return diff.add(own, agg)
 
     def parameters(self) -> list[Parameter]:
@@ -117,7 +115,7 @@ def laplacian_score(x: Tensor, a: CsrMatrix, w: Parameter) -> Tensor:
     so distinct neighbourhoods can collapse onto the same score.
     """
     h = diff.spmm_const(laplacian(a), x)
-    return diff.matmul(h, diff.transpose(w.tensor))
+    return diff.linear(h, w.tensor)
 
 
 class Lcsmp:
@@ -142,7 +140,7 @@ class Lcsmp:
         self.l_score = Linear(hidden, 1, rng, f"{name}.ls")
 
     def pre_softmax(self, x: Tensor, a: CsrMatrix) -> Tensor:
-        p = diff.matmul(x, diff.transpose(self.l_diff.weight.tensor))
+        p = diff.linear(x, self.l_diff.weight.tensor)
         q = diff.add_bias(p, self.l_diff.bias.tensor)
         agg = diff.edge_relu_sum(q, p, a)
         hidden = diff.add(diff.relu(self.l_agg(agg)), diff.relu(self.l_self(x)))

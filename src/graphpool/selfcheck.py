@@ -229,9 +229,13 @@ def _primitive_cases(rng):
     b = Tensor(rng.normal(size=(4, 2)))
     p = proj((3, 2))
     cases.append(("matmul", lambda: p(diff.matmul(a, b)), [a, b]))
-    t1 = Tensor(rng.normal(size=(3, 4)))
-    p_t = proj((4, 3))
-    cases.append(("transpose", lambda: p_t(diff.transpose(t1)), [t1]))
+    # exactly 24 normal draws: every later case and the end-to-end configs
+    # read the shared generator after them
+    lx = Tensor(rng.normal(size=(2, 2)))
+    lw = Tensor(rng.normal(size=(4, 2)))
+    lb = Tensor(rng.normal(size=(1, 4)))
+    p_l = proj((2, 4))
+    cases.append(("linear", lambda: p_l(diff.linear(lx, lw, lb)), [lx, lw, lb]))
     u = Tensor(rng.normal(size=(3, 4)))
     v = Tensor(rng.normal(size=(3, 4)))
     p_uv = proj((3, 4))

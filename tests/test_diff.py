@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from graphpool.diff import (
     constant,
     cross_entropy,
 )
-from graphpool.selfcheck import gradient_max_rel_err
+from graphpool.selfcheck import _primitive_cases, gradient_max_rel_err
 from graphpool.sparse import CsrMatrix
 
 
@@ -243,6 +245,67 @@ class TestFiniteDifferences:
             return diff.sum_all(diff.mul(r, constant(proj)))
 
         assert gradient_max_rel_err(builder, [x]) < 1e-6
+
+    def test_every_recording_primitive_has_a_gradient_suite_case(self):
+        recording = {
+            name
+            for name, fn in inspect.getmembers(diff, inspect.isfunction)
+            if not name.startswith("_")
+            and fn.__module__ == diff.__name__
+            and "_record(" in inspect.getsource(fn)
+        }
+        cases = {name for name, _, _ in _primitive_cases(np.random.default_rng(0))}
+        assert recording, "no recording primitives found"
+        assert recording <= cases, f"no gradient-suite case for {sorted(recording - cases)}"
+
+
+# (rows, in, out): 16 x 64 @ 64 x 32 is a shape where OpenBLAS gives
+# x @ W.T and x @ W.T.copy() different bits; the rest are random
+LINEAR_DIMS = [(16, 64, 32)] + [
+    tuple(int(v) for v in np.random.default_rng(s).integers(1, 70, size=3)) for s in range(6)
+]
+
+
+class TestLinear:
+    """diff.linear, bit for bit, against x @ W^T.copy() + b written in numpy.
+
+    The reference gradients are g @ (W^T)^T for x, (x^T g)^T for W and the
+    column sums of g for the bias.
+    """
+
+    @pytest.mark.parametrize("dims", LINEAR_DIMS)
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_bit_equal_to_the_numpy_reference(self, dims, with_bias):
+        rng = np.random.default_rng(sum(dims))
+        n, d_in, d_out = dims
+        x = Tensor(rng.normal(size=(n, d_in)))
+        w = Tensor(rng.normal(size=(d_out, d_in)))
+        b = Tensor(rng.normal(size=(1, d_out))) if with_bias else None
+        g = rng.normal(size=(n, d_out))
+        with Tape():
+            out = diff.linear(x, w, b)
+            loss = diff.sum_all(diff.mul(out, constant(g)))
+        backward(loss)
+
+        wt = w.values.T.copy()
+        want = x.values @ wt
+        if with_bias:
+            want = want + b.values
+        assert np.array_equal(out.values, want)
+        assert np.array_equal(x.grad, g @ wt.T)
+        assert np.array_equal(w.grad, (x.values.T @ g).T)
+        if with_bias:
+            assert np.array_equal(b.grad, g.sum(axis=0, keepdims=True))
+
+    def test_column_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            diff.linear(constant(np.ones((2, 3))), constant(np.ones((4, 2))))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (4, 1), (2, 4)])
+    def test_wrong_bias_shape_rejected(self, shape):
+        x, w = constant(np.ones((2, 3))), constant(np.ones((4, 3)))
+        with pytest.raises(ValueError):
+            diff.linear(x, w, constant(np.zeros(shape)))
 
 
 class TestAdamAndCheckpoints:

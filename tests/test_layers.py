@@ -342,3 +342,23 @@ class TestMlpAndReadout:
         x = rng.normal(size=(4, 3))
         expected = x @ layer.weight.tensor.values.T + layer.bias.tensor.values
         assert np.allclose(layer(constant(x)).values, expected)
+
+
+class TestTapeEntriesPerLayer:
+    """Each dense map is one diff.linear entry; these counts guard the tape."""
+
+    def _entries(self, call):
+        with Tape() as tape:
+            call()
+        return len(tape)
+
+    def test_counts(self):
+        rng = np.random.default_rng(14)
+        x = constant(rng.normal(size=(4, 3)))
+        a = path4()
+        assert self._entries(lambda: Linear(3, 2, rng, "l")(x)) == 1
+        assert self._entries(lambda: GcnConv(3, 2, rng, "c")(x, a)) == 2
+        assert self._entries(lambda: GraphConv(3, 2, rng, "g")(x, a)) == 4
+        w = Parameter("w", rng.normal(size=(1, 3)))
+        assert self._entries(lambda: laplacian_score(x, a, w)) == 2
+        assert self._entries(lambda: Mlp([3, 5, 4, 2], rng, "m")(x)) == 5
