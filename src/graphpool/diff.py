@@ -441,11 +441,22 @@ def segment_max(x: Tensor, segment_id, n_segments: int | None = None) -> Tensor:
     return _record(out, rule)
 
 
+def _segment_products(s: np.ndarray, y: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The (G, k, width) stack of s[rows].T @ y[rows], one BLAS product per
+    segment of the row extents bounds; an empty segment gives a zero block."""
+    out = np.empty((bounds.size - 1, s.shape[1], y.shape[1]))
+    for g in range(bounds.size - 1):
+        rows = slice(bounds[g], bounds[g + 1])
+        out[g] = s[rows].T @ y[rows]
+    return out
+
+
 def assignment_reduce(s: Tensor, x: Tensor, segment_id, k: int) -> Tensor:
     """Per-segment S^T @ X for a block-diagonal soft assignment.
 
     Row g*k + c of the result is sum_i s[i, c] * x[i, :] over the rows i of
-    segment g, added in row order; neither pass builds an N x k x width array.
+    segment g.  Both passes run one BLAS product per segment, so neither
+    builds an N x k x width array.
     """
     if s.rows != x.rows:
         raise ValueError("assignment and features must have equal rows")
@@ -454,7 +465,7 @@ def assignment_reduce(s: Tensor, x: Tensor, segment_id, k: int) -> Tensor:
     seg = _segments(segment_id, x.rows)
     n = int(seg[-1]) + 1 if seg.size else 0
     bounds = sparse.row_extents(seg, n)
-    out = Tensor(sparse.spmm(sparse.block_transpose(s.values, bounds), x.values))
+    out = Tensor(_segment_products(s.values, x.values, bounds).reshape(n * k, x.cols))
 
     def rule(g):
         g_s, g_x = np.empty_like(s.values), np.empty_like(x.values)

@@ -447,17 +447,20 @@ def load_records(path) -> list[RunRecord]:
     return [_record_from_dict(d) for d in data["records"]]
 
 
-def records_csv(records: list[RunRecord]) -> str:
+def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for rec in records:
-        writer.writerow([
-            rec.model.backbone, rec.model.conv, rec.model.pool, rec.dataset,
-            rec.run_seed, f"{rec.test_accuracy:.6f}", rec.best_epoch,
-            f"{rec.wall_time:.3f}",
-        ])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def records_csv(records: list[RunRecord]) -> str:
+    return _csv_text(_CSV_COLUMNS, (
+        [rec.model.backbone, rec.model.conv, rec.model.pool, rec.dataset,
+         rec.run_seed, f"{rec.test_accuracy:.6f}", rec.best_epoch, f"{rec.wall_time:.3f}"]
+        for rec in records
+    ))
 
 
 def summary_rows(records: list[RunRecord]) -> list[dict]:
@@ -479,26 +482,17 @@ def summary_rows(records: list[RunRecord]) -> list[dict]:
 
 
 def summary_csv(records: list[RunRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["backbone", "conv", "pool", "dataset", "runs",
-                     "mean_accuracy", "std_accuracy"])
-    for row in summary_rows(records):
-        writer.writerow([
-            row["backbone"], row["conv"], row["pool"], row["dataset"], row["runs"],
-            f"{row['mean_accuracy']:.6f}", f"{row['std_accuracy']:.6f}",
-        ])
-    return buf.getvalue()
+    return _csv_text(
+        ["backbone", "conv", "pool", "dataset", "runs", "mean_accuracy", "std_accuracy"],
+        ([row["backbone"], row["conv"], row["pool"], row["dataset"], row["runs"],
+          f"{row['mean_accuracy']:.6f}", f"{row['std_accuracy']:.6f}"]
+         for row in summary_rows(records)),
+    )
 
 
 def ranking_csv(table: RankingTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["backbone", *table.pools])
+    rows = []
     for backbone in table.backbones:
-        row = [backbone]
-        for pool in table.pools:
-            value = table.average_rank.get((backbone, pool))
-            row.append("" if value is None else f"{value:.4f}")
-        writer.writerow(row)
-    return buf.getvalue()
+        ranks = [table.average_rank.get((backbone, pool)) for pool in table.pools]
+        rows.append([backbone, *("" if r is None else f"{r:.4f}" for r in ranks)])
+    return _csv_text(["backbone", *table.pools], rows)

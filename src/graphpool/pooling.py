@@ -93,12 +93,13 @@ def node_selection_pool(x: Tensor, a: CsrMatrix, score_fn, ratio: float, graph_i
 def dense_assignment_pool(x: Tensor, a: CsrMatrix, assign_fn, k_clusters: int, graph_id) -> PoolResult:
     """Soft-cluster every graph into a fixed number of pooled nodes.
 
-    assign_fn returns a row-stochastic N x k tensor S; features become S^T X
-    per graph (:func:`diff.assignment_reduce`).  A must not join graphs:
-    ``spmm(S^T, spmm(A, S))`` with S^T from :func:`sparse.block_transpose`
-    stacks the per-graph blocks S^T A S, whose diagonals are dropped.  This
-    pooled adjacency is a constant: no gradient reaches S through it, so
-    finite differences through a later stage disagree with the tape.
+    assign_fn returns a row-stochastic N x k tensor S.  Features become
+    S_g^T X_g per graph (:func:`diff.assignment_reduce`) and the pooled
+    adjacency stacks the per-graph blocks S_g^T (A S)_g with their diagonals
+    dropped; both are one BLAS product per graph, in forward and backward.
+    A must not join graphs.  This pooled adjacency is a constant: no
+    gradient reaches S through it, so finite differences through a later
+    stage disagree with the tape.
     """
     if k_clusters < 1:
         raise ValueError("need at least one cluster")
@@ -108,12 +109,15 @@ def dense_assignment_pool(x: Tensor, a: CsrMatrix, assign_fn, k_clusters: int, g
     n_pooled = n_graphs * k_clusters
     s = assign_fn(x, a, gid)
     pooled_x = diff.assignment_reduce(s, x, gid, k_clusters)
-    blocks = sparse.spmm(sparse.block_transpose(s.values, bounds), sparse.spmm(a, s.values))
-    blocks[np.arange(n_pooled), np.arange(n_pooled) % k_clusters] = 0.0  # diagonal
+    blocks = diff._segment_products(s.values, sparse.spmm(a, s.values), bounds)
+    diagonal = np.arange(k_clusters)
+    blocks[:, diagonal, diagonal] = 0.0
+    blocks = blocks.reshape(n_pooled, k_clusters)
+    # nonzero walks rows in order and columns in order within each row, so
+    # the global columns g*k + c increase per row: canonical as built
     rows, cols = np.nonzero(blocks)
-    pooled_a = CsrMatrix.from_coo(
-        n_pooled, n_pooled, rows, rows - rows % k_clusters + cols, blocks[rows, cols]
-    )
+    pooled_a = CsrMatrix(n_pooled, n_pooled, sparse.row_extents(rows, n_pooled),
+                         rows - rows % k_clusters + cols, blocks[rows, cols])
     return PoolResult(
         x=pooled_x,
         a=pooled_a,
@@ -166,21 +170,21 @@ def local_assignment_selection_pool(
 
 
 def local_cluster_selection_pool(
-    x: Tensor, a: CsrMatrix, cluster_fn, score_fn, ratio: float, graph_id
+    x: Tensor, a: CsrMatrix, score_fn, ratio: float, graph_id
 ) -> PoolResult:
     """Local assignment selection specialized to the full 1-hop pattern.
 
     Every node contributes to exactly itself and its neighbours, so the
-    assignment is the pattern of I + A and no matrix is learned.  The
-    pooled adjacency is the pattern of :func:`rewire` over I + A, which is
-    the three-hop closure ``(I+A)^T A (I+A)`` on the kept nodes, directed
-    or not, with its self-loops stripped.  Requires unweighted edges.
+    assignment is the pattern of I + A and no matrix is learned: x are the
+    cluster features already, scored and gated as they are.  The pooled
+    adjacency is the pattern of :func:`rewire` over I + A, which is the
+    three-hop closure ``(I+A)^T A (I+A)`` on the kept nodes, directed or
+    not, with its self-loops stripped.  Requires unweighted edges.
     """
     if a.nnz and np.any(a.values != 1.0):
         raise ValueError("cluster selection requires unweighted edges")
-    x_star = cluster_fn(x, a)
     return _select_and_gate(
-        x_star, a, score_fn, graph_id, ratio,
+        x, a, score_fn, graph_id, ratio,
         lambda kept: sparse.strip_diagonal(
             sparse.ones_pattern(rewire(sparse.add_self_loops(a), a, kept))),
     )
@@ -194,7 +198,7 @@ def lcpool(x: Tensor, a: CsrMatrix, scorer: Lcsmp, ratio: float, graph_id) -> Po
     """
     if not sparse.is_symmetric(a):
         raise ValueError("this pool expects an undirected (symmetric) adjacency")
-    return local_cluster_selection_pool(x, a, lambda t, _a: t, scorer, ratio, graph_id)
+    return local_cluster_selection_pool(x, a, scorer, ratio, graph_id)
 
 
 def lcpool_star(
@@ -207,4 +211,4 @@ def lcpool_star(
     """
     if not sparse.is_symmetric(a):
         raise ValueError("this pool expects an undirected (symmetric) adjacency")
-    return local_cluster_selection_pool(x, a, cluster_conv, scorer, ratio, graph_id)
+    return local_cluster_selection_pool(cluster_conv(x, a), a, scorer, ratio, graph_id)

@@ -20,7 +20,6 @@ __all__ = [
     "IndexSet",
     "add",
     "add_self_loops",
-    "block_transpose",
     "equal",
     "from_dense",
     "hop_closure",
@@ -74,8 +73,8 @@ class IndexSet:
 class CsrMatrix:
     """Canonical CSR matrix.  :meth:`from_coo` checks, sorts and sums any
     triplets; the constructor trusts arrays canonical by construction (from
-    ``empty``, ``identity``, ``transpose``, ``block_transpose`` and the entry
-    filter behind ``select_cols``, ``select_rows_cols``, ``strip_diagonal``)."""
+    ``empty``, ``identity``, ``transpose`` and the entry filter behind
+    ``select_cols``, ``select_rows_cols``, ``strip_diagonal``)."""
 
     n_rows: int
     n_cols: int
@@ -301,21 +300,6 @@ def transpose(a: CsrMatrix) -> CsrMatrix:
     order = np.argsort(a.col_idx, kind="stable")
     return CsrMatrix(a.n_cols, a.n_rows, row_extents(a.col_idx, a.n_cols),
                      row_indices(a)[order], a.values[order])
-
-
-def block_transpose(values, segment_ptr) -> CsrMatrix:
-    """Sᵀ of the block-diagonal S whose blocks are the row segments of values.
-
-    Row g*k + c holds values[i, c] at column i for each row i of segment g
-    (``segment_ptr[g] <= i < segment_ptr[g + 1]``); built without a sort.
-    """
-    n, k = values.shape
-    ends = np.concatenate([[0], np.cumsum(np.repeat(np.diff(segment_ptr), k))])
-    # entry e of row g*k + c is values.T.flat[c*n + segment_ptr[g] + e]
-    first = (np.asarray(segment_ptr[:-1])[:, None] + np.arange(k) * n).ravel()
-    flat = np.arange(ends[-1]) + np.repeat(first - ends[:-1], np.diff(ends))
-    vals = values.T.ravel()[flat]
-    return _keep_entries(ends, flat % n, vals, vals != 0.0, n)
 
 
 def add(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:

@@ -49,21 +49,26 @@ def random_adjacency_dense(rng, n, p=0.35, directed=False):
     return dense.astype(np.float64)
 
 
-def training_fingerprint() -> str:
+ALL_POOLS = ("nopool", "topk", "sag", "dense", "lcpool", "lcpool_star")
+
+
+def training_fingerprint(pools=ALL_POOLS) -> str:
     """sha256 of the losses and final parameters of a fixed-seed Adam run.
 
-    Every pool under both backbones trains 4 Adam steps (16-graph batches,
-    hidden 32, lr 0.01) on each synthetic kind.  It uses only long-standing
-    public names, so pointing ``PYTHONPATH`` at another checkout's ``src``
-    fingerprints that checkout; with one BLAS thread, two commits that
-    compute the same results give the same digest.
+    Each of ``pools`` (all six by default) under both backbones trains 4
+    Adam steps (16-graph batches, hidden 32, lr 0.01) on each synthetic
+    kind; ``pools=("topk",)`` hashes only the topk runs, so a change that
+    moves one pool's bits can show the others unchanged.  It uses only
+    long-standing public names, so pointing ``PYTHONPATH`` at another
+    checkout's ``src`` fingerprints that checkout; with one BLAS thread,
+    two commits that compute the same results give the same digest.
     """
     digest = hashlib.sha256()
     for kind in ("cycles_vs_paths", "two_communities"):
         data = make_synthetic(kind, 64, seed=5)
         batches = [make_batch(data.graphs[lo : lo + 16]) for lo in range(0, 64, 16)]
         for backbone in ("hierarchical", "plain"):
-            for pool in ("nopool", "topk", "sag", "dense", "lcpool", "lcpool_star"):
+            for pool in pools:
                 cfg = harness.ModelConfig(backbone=backbone, pool=pool, hidden=32,
                                           pre_mlp=(32,), post_mlp=(32,))
                 model = harness.build_model(cfg, data.feature_dim, data.num_classes,

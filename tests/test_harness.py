@@ -24,6 +24,7 @@ from graphpool.harness import (
     ranking_csv,
     records_csv,
     save_records,
+    summary_csv,
     summary_rows,
     train,
 )
@@ -279,6 +280,12 @@ class TestReporting:
         rows = summary_rows(self._records())
         assert len(rows) == 2
         assert rows[0]["runs"] == 1
+
+    def test_summary_csv_text(self):
+        assert summary_csv(self._records()[:1]) == (
+            "backbone,conv,pool,dataset,runs,mean_accuracy,std_accuracy\n"
+            "hierarchical,gcn,lcpool,demo,1,0.875000,0.000000\n"
+        )
 
     def test_ranking_csv_layout(self):
         table = rank(self._records())

@@ -131,6 +131,28 @@ class TestDenseAssignment:
         assert np.array_equal(result.x.values, [[6.0]])  # column sum
         assert result.a.nnz == 0  # only entry was the dropped self-loop
 
+    @staticmethod
+    def _check_dense_oracle(rng, graphs, k):
+        """Pool a batch under a random row-softmax S; compare with per-graph numpy."""
+        batch = make_batch(graphs)
+        logits = rng.normal(size=(batch.x.shape[0], k))
+        s = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        result = dense_assignment_pool(
+            constant(batch.x), batch.a, lambda t, a, gid: constant(s), k, batch.graph_id)
+        sparse.validate(result.a)
+        expected_a = np.zeros((len(graphs) * k, len(graphs) * k))
+        expected_x = np.zeros((len(graphs) * k, 3))
+        for g, graph in enumerate(graphs):
+            s_g = s[batch.graph_id == g]
+            block = s_g.T @ sparse.to_dense(graph.a) @ s_g
+            np.fill_diagonal(block, 0.0)
+            expected_a[g * k : (g + 1) * k, g * k : (g + 1) * k] = block
+            expected_x[g * k : (g + 1) * k] = s_g.T @ graph.x
+        got_a = sparse.to_dense(result.a)
+        assert np.array_equal(got_a != 0, expected_a != 0)
+        assert np.allclose(got_a, expected_a, rtol=1e-12, atol=0.0)
+        assert np.allclose(result.x.values, expected_x, rtol=0.0, atol=1e-12)
+
     def test_random_assignment_matches_dense_oracle(self):
         rng = np.random.default_rng(2)
         seen = set()
@@ -147,24 +169,18 @@ class TestDenseAssignment:
                     seen.add("edgeless")
                 if k > n:
                     seen.add("k > n")
-            batch = make_batch(graphs)
-            logits = rng.normal(size=(batch.x.shape[0], k))
-            s = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-            result = dense_assignment_pool(
-                constant(batch.x), batch.a, lambda t, a, gid: constant(s), k, batch.graph_id)
-            expected_a = np.zeros((len(graphs) * k, len(graphs) * k))
-            expected_x = np.zeros((len(graphs) * k, 3))
-            for g, graph in enumerate(graphs):
-                s_g = s[batch.graph_id == g]
-                block = s_g.T @ sparse.to_dense(graph.a) @ s_g
-                np.fill_diagonal(block, 0.0)
-                expected_a[g * k : (g + 1) * k, g * k : (g + 1) * k] = block
-                expected_x[g * k : (g + 1) * k] = s_g.T @ graph.x
-            got_a = sparse.to_dense(result.a)
-            assert np.array_equal(got_a != 0, expected_a != 0)
-            assert np.allclose(got_a, expected_a, rtol=1e-12, atol=0.0)
-            assert np.allclose(result.x.values, expected_x, rtol=0.0, atol=1e-12)
+            self._check_dense_oracle(rng, graphs, k)
         assert seen == {"one-node", "edgeless", "k > n"}
+
+    def test_long_graphs_match_dense_oracle(self):
+        rng = np.random.default_rng(3)
+        graphs = [
+            Graph(n, rng.normal(size=(n, 3)),
+                  sparse.from_dense(random_adjacency_dense(rng, n, p=0.1)), 0)
+            for n in (30, 37, 52, 80)
+        ]
+        for k in (1, 2, 13, 31, 40):  # 31 and 40 exceed some graph sizes
+            self._check_dense_oracle(rng, graphs, k)
 
     def test_zero_clusters_rejected(self):
         with pytest.raises(ValueError):
@@ -267,7 +283,7 @@ class TestLocalClusterSelection:
             via_assignment = local_assignment_selection_pool(
                 constant(x), a, lambda _x, _a: star, score, ratio, single_graph_ids(n))
             via_cluster = local_cluster_selection_pool(
-                constant(x), a, lambda t, _a: diff.spmm_const(sparse.transpose(star), t),
+                diff.spmm_const(sparse.transpose(star), constant(x)), a,
                 score, ratio, single_graph_ids(n))
             kept = via_cluster.kept
             assert len(kept) == kept_count(ratio, n)
@@ -280,7 +296,7 @@ class TestLocalClusterSelection:
 
     def test_path_endpoints_reconnect_within_three_hops(self):
         result = local_cluster_selection_pool(
-            constant(np.eye(4)), path4(), lambda t, _a: t,
+            constant(np.eye(4)), path4(),
             fixed_score([1.0, 0.0, 0.0, 1.0]), 0.5, single_graph_ids(4))
         assert np.array_equal(result.kept.indices, [0, 3])
         assert np.array_equal(sparse.to_dense(result.a), [[0, 1], [1, 0]])
@@ -289,7 +305,7 @@ class TestLocalClusterSelection:
         weighted = CsrMatrix.from_coo(2, 2, [0, 1], [1, 0], [2.0, 2.0])
         with pytest.raises(ValueError, match="unweighted"):
             local_cluster_selection_pool(
-                constant(np.eye(2)), weighted, lambda t, _a: t,
+                constant(np.eye(2)), weighted,
                 fixed_score([1.0, 0.0]), 1.0, single_graph_ids(2))
 
 
@@ -365,7 +381,7 @@ class TestLcPoolStar:
         starred = lcpool_star(constant(x), sparse.from_dense(ad), conv, scorer, 0.5,
                               single_graph_ids(8))
         plain = local_cluster_selection_pool(
-            constant(x), sparse.from_dense(ad), lambda t, _a: t,
+            constant(x), sparse.from_dense(ad),
             fixed_score(starred.scores.values.ravel()), 0.5, single_graph_ids(8))
         assert np.array_equal(starred.kept.indices, plain.kept.indices)
         assert sparse.equal(starred.a, plain.a)

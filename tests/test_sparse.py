@@ -310,22 +310,6 @@ class TestDenseOracleEquivalence:
             full = sparse.spgemm(sparse.spgemm(sparse.transpose(s), a), s)
             assert sparse.equal(left, sparse.select_rows_cols(full, idx))
 
-    def test_block_transpose_is_transposed_block_diagonal(self):
-        # empty segments, zero entries and k = 1 included
-        rng = np.random.default_rng(8)
-        for _ in range(60):
-            sizes = rng.integers(0, 5, size=int(rng.integers(0, 5)))
-            k = int(rng.integers(1, 4))
-            values = random_integer_dense(rng, int(sizes.sum()), k, density=0.6)
-            segment_ptr = np.concatenate([[0], np.cumsum(sizes)])
-            got = sparse.block_transpose(values, segment_ptr)
-            sparse.validate(got)
-            block_diag = np.zeros((values.shape[0], sizes.size * k))
-            for g in range(sizes.size):
-                lo, hi = segment_ptr[g], segment_ptr[g + 1]
-                block_diag[lo:hi, g * k : (g + 1) * k] = values[lo:hi]
-            assert np.array_equal(sparse.to_dense(got), block_diag.T)
-
 
 @settings(max_examples=60, deadline=None)
 @given(dense_matrices())
