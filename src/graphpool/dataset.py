@@ -179,6 +179,18 @@ def _line_error(path: str, row: int, message: str) -> ValueError:
     return ValueError(f"{path}, line {numbers[row]}: {message}")
 
 
+def _undirected_pattern(n: int, edges: np.ndarray) -> CsrMatrix:
+    """The n x n 0/1 adjacency of an (E, 2) edge list taken both ways.
+
+    Self-loops are dropped; from_coo sums duplicates and only the pattern
+    is kept.
+    """
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    keep = rows != cols
+    return ones_pattern(CsrMatrix.from_coo(n, n, rows[keep], cols[keep], np.ones(keep.sum())))
+
+
 def load_tudataset(root: str, name: str) -> Dataset:
     """Load the flat TUDataset text format from ``root/name/``.
 
@@ -259,12 +271,7 @@ def load_tudataset(root: str, name: str) -> Dataset:
 
     # No edge crosses graphs, so the global adjacency is block-diagonal and
     # each graph's rows are a contiguous slice of it.
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    keep = rows != cols
-    # from_coo sums duplicates; only the pattern is kept
-    pattern = ones_pattern(
-        CsrMatrix.from_coo(n_nodes, n_nodes, rows[keep], cols[keep], np.ones(keep.sum())))
+    pattern = _undirected_pattern(n_nodes, edges)
     row_ptr, col_idx, ones = pattern.row_ptr, pattern.col_idx, pattern.values
     graphs = []
     for g, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
@@ -283,13 +290,7 @@ def _ring_edges(n: int) -> np.ndarray:
 
 
 def _graph_from_edges(n: int, und_edges: np.ndarray, label: int) -> Graph:
-    if und_edges.size:
-        rows = np.concatenate([und_edges[:, 0], und_edges[:, 1]])
-        cols = np.concatenate([und_edges[:, 1], und_edges[:, 0]])
-    else:
-        rows = cols = np.empty(0, dtype=np.int64)
-    a = ones_pattern(CsrMatrix.from_coo(n, n, rows, cols, np.ones(rows.size)))
-    return Graph(n, np.ones((n, 1)), a, label)
+    return Graph(n, np.ones((n, 1)), _undirected_pattern(n, und_edges), label)
 
 
 def make_synthetic(kind: str, n_graphs: int, seed: int) -> Dataset:

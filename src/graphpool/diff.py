@@ -26,15 +26,14 @@ def _active_tape():
 class Tensor:
     """A (rows, cols) float64 array with an optional gradient of same shape."""
 
-    __slots__ = ("values", "grad", "requires_grad", "tape")
+    __slots__ = ("values", "grad", "tape")
 
-    def __init__(self, values, requires_grad: bool = False):
+    def __init__(self, values):
         v = np.asarray(values, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError(f"tensors are 2-D (rows, cols), got shape {v.shape}")
         self.values = v
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
         self.tape: Tape | None = None
 
     @property
@@ -50,7 +49,7 @@ class Tensor:
         return self.values.shape[1]
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
 class Parameter:
@@ -60,7 +59,7 @@ class Parameter:
         if not np.all(np.isfinite(values)):
             raise ValueError(f"parameter {name!r} has non-finite values")
         self.name = name
-        self.tensor = Tensor(values, requires_grad=True)
+        self.tensor = Tensor(values)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
@@ -375,7 +374,8 @@ def segment_softmax(t: Tensor, segment_id) -> Tensor:
         raise ValueError("segment_softmax expects a column vector")
     seg = _segments(segment_id, t.rows)
     x = t.values[:, 0]
-    _, starts, counts = np.unique(seg, return_index=True, return_counts=True)
+    bounds = _segment_bounds(seg)
+    starts, counts = bounds[:-1], np.diff(bounds)
     m = np.repeat(np.maximum.reduceat(x, starts), counts)
     e = np.exp(x - m)
     denom = np.repeat(np.add.reduceat(e, starts), counts)
@@ -451,17 +451,16 @@ def _segment_products(s: np.ndarray, y: np.ndarray, bounds: np.ndarray) -> np.nd
     return out
 
 
-def assignment_reduce(s: Tensor, x: Tensor, segment_id, k: int) -> Tensor:
+def assignment_reduce(s: Tensor, x: Tensor, segment_id) -> Tensor:
     """Per-segment S^T @ X for a block-diagonal soft assignment.
 
-    Row g*k + c of the result is sum_i s[i, c] * x[i, :] over the rows i of
-    segment g.  Both passes run one BLAS product per segment, so neither
-    builds an N x k x width array.
+    With k = s.cols, row g*k + c of the result is sum_i s[i, c] * x[i, :]
+    over the rows i of segment g.  Both passes run one BLAS product per
+    segment, so neither builds an N x k x width array.
     """
     if s.rows != x.rows:
         raise ValueError("assignment and features must have equal rows")
-    if s.cols != k:
-        raise ValueError(f"assignment width {s.cols} != {k}")
+    k = s.cols
     seg = _segments(segment_id, x.rows)
     n = int(seg[-1]) + 1 if seg.size else 0
     bounds = sparse.row_extents(seg, n)

@@ -89,9 +89,8 @@ class TopkPool:
         self.ratio = ratio
 
     def __call__(self, x, a, graph_id):
-        return pooling.node_selection_pool(
-            x, a, lambda t, _a, _g: diff.tanh(self.score(t)), self.ratio, graph_id
-        )
+        h = diff.tanh(self.score(x))
+        return pooling.node_selection_pool(x, a, h, self.ratio, graph_id)
 
     def parameters(self):
         return self.score.parameters()
@@ -106,13 +105,8 @@ class SagPool:
         self.ratio = ratio
 
     def __call__(self, x, a, graph_id):
-        return pooling.node_selection_pool(
-            x,
-            a,
-            lambda t, adj, _g: diff.tanh(self.score(self.conv(t, adj))),
-            self.ratio,
-            graph_id,
-        )
+        h = diff.tanh(self.score(self.conv(x, a)))
+        return pooling.node_selection_pool(x, a, h, self.ratio, graph_id)
 
     def parameters(self):
         return self.conv.parameters() + self.score.parameters()
@@ -128,13 +122,8 @@ class DensePool:
         self.k_clusters = k_clusters
 
     def __call__(self, x, a, graph_id):
-        return pooling.dense_assignment_pool(
-            x,
-            a,
-            lambda t, _a, _g: diff.row_softmax(self.assign(t)),
-            self.k_clusters,
-            graph_id,
-        )
+        s = diff.row_softmax(self.assign(x))
+        return pooling.dense_assignment_pool(x, a, s, graph_id)
 
     def parameters(self):
         return self.assign.parameters()

@@ -2,9 +2,11 @@
 
 Every operator returns a :class:`PoolResult` holding the pooled features,
 the pooled adjacency, the kept node ids, the full-length score column, and
-the per-kept-node graph ids.  Score functions take (x, a, graph_id) and
-return one score per node; assignment functions take (x, a) and return a
-constant sparse assignment matrix.
+the per-kept-node graph ids.  The caller computes the score column or the
+assignment and passes it as a value.  The one exception is
+:func:`local_assignment_selection_pool`, which scores the aggregated
+features ``S^T x`` it forms itself and so takes a score function
+``(x, a, graph_id) -> one score per node``.
 """
 
 from __future__ import annotations
@@ -65,14 +67,13 @@ def topk(h: Tensor, graph_id, ratio: float) -> IndexSet:
     return IndexSet(np.sort(order[rank < k[gid]]))
 
 
-def _select_and_gate(x_star: Tensor, a: CsrMatrix, score_fn, graph_id, ratio: float,
+def _select_and_gate(x_star: Tensor, h: Tensor, graph_id, ratio: float,
                      pooled_adjacency) -> PoolResult:
-    """Score x*, keep each graph's top nodes, gate them by their score.
+    """Keep each graph's top nodes by the score column h, gate x* by it.
 
     pooled_adjacency maps the kept set to the pooled graph's adjacency.
     """
     gid = np.asarray(graph_id, dtype=np.int64)
-    h = score_fn(x_star, a, gid)
     kept = topk(h, gid, ratio)
     gated = diff.broadcast_col(x_star, h)
     return PoolResult(
@@ -84,16 +85,16 @@ def _select_and_gate(x_star: Tensor, a: CsrMatrix, score_fn, graph_id, ratio: fl
     )
 
 
-def node_selection_pool(x: Tensor, a: CsrMatrix, score_fn, ratio: float, graph_id) -> PoolResult:
-    """Keep top-scored nodes and the induced subgraph only."""
-    return _select_and_gate(x, a, score_fn, graph_id, ratio,
+def node_selection_pool(x: Tensor, a: CsrMatrix, h: Tensor, ratio: float, graph_id) -> PoolResult:
+    """Keep the nodes top-scored by h and the induced subgraph only."""
+    return _select_and_gate(x, h, graph_id, ratio,
                             lambda kept: sparse.select_rows_cols(a, kept))
 
 
-def dense_assignment_pool(x: Tensor, a: CsrMatrix, assign_fn, k_clusters: int, graph_id) -> PoolResult:
-    """Soft-cluster every graph into a fixed number of pooled nodes.
+def dense_assignment_pool(x: Tensor, a: CsrMatrix, s: Tensor, graph_id) -> PoolResult:
+    """Soft-cluster every graph into the k = s.cols pooled nodes.
 
-    assign_fn returns a row-stochastic N x k tensor S.  Features become
+    s is a row-stochastic N x k assignment tensor S.  Features become
     S_g^T X_g per graph (:func:`diff.assignment_reduce`) and the pooled
     adjacency stacks the per-graph blocks S_g^T (A S)_g with their diagonals
     dropped; both are one BLAS product per graph, in forward and backward.
@@ -101,29 +102,29 @@ def dense_assignment_pool(x: Tensor, a: CsrMatrix, assign_fn, k_clusters: int, g
     gradient reaches S through it, so finite differences through a later
     stage disagree with the tape.
     """
-    if k_clusters < 1:
+    k = s.cols
+    if k < 1:
         raise ValueError("need at least one cluster")
     gid = diff._segments(graph_id, x.rows)
     bounds = diff._segment_bounds(gid)
     n_graphs = bounds.size - 1
-    n_pooled = n_graphs * k_clusters
-    s = assign_fn(x, a, gid)
-    pooled_x = diff.assignment_reduce(s, x, gid, k_clusters)
+    n_pooled = n_graphs * k
+    pooled_x = diff.assignment_reduce(s, x, gid)
     blocks = diff._segment_products(s.values, sparse.spmm(a, s.values), bounds)
-    diagonal = np.arange(k_clusters)
+    diagonal = np.arange(k)
     blocks[:, diagonal, diagonal] = 0.0
-    blocks = blocks.reshape(n_pooled, k_clusters)
+    blocks = blocks.reshape(n_pooled, k)
     # nonzero walks rows in order and columns in order within each row, so
     # the global columns g*k + c increase per row: canonical as built
     rows, cols = np.nonzero(blocks)
     pooled_a = CsrMatrix(n_pooled, n_pooled, sparse.row_extents(rows, n_pooled),
-                         rows - rows % k_clusters + cols, blocks[rows, cols])
+                         rows - rows % k + cols, blocks[rows, cols])
     return PoolResult(
         x=pooled_x,
         a=pooled_a,
         kept=IndexSet.all(n_pooled),
         scores=diff.constant(np.ones((x.rows, 1))),
-        graph_id=np.repeat(np.arange(n_graphs, dtype=np.int64), k_clusters),
+        graph_id=np.repeat(np.arange(n_graphs, dtype=np.int64), k),
     )
 
 
@@ -154,37 +155,38 @@ def rewire(s: CsrMatrix, a: CsrMatrix, kept: IndexSet) -> CsrMatrix:
 
 
 def local_assignment_selection_pool(
-    x: Tensor, a: CsrMatrix, assign_fn, score_fn, ratio: float, graph_id
+    x: Tensor, a: CsrMatrix, s: CsrMatrix, score_fn, ratio: float, graph_id
 ) -> PoolResult:
-    """Aggregate features through a local assignment, select, and rewire.
+    """Aggregate features through a local assignment s, select, and rewire.
 
     The assignment may place weight only where a node touches itself or a
-    neighbour; the pooled adjacency is :func:`rewire` over the kept columns,
-    so pooled nodes connect whenever their contributors do.
+    neighbour.  The aggregated features x* = S^T x are scored by
+    ``score_fn(x*, a, graph_id)``, called once; the pooled adjacency is
+    :func:`rewire` over the kept columns, so pooled nodes connect whenever
+    their contributors do.
     """
-    s = assign_fn(x, a)
     validate_local_assignment(s, a)
     x_star = diff.spmm_const(sparse.transpose(s), x)
-    return _select_and_gate(x_star, a, score_fn, graph_id, ratio,
+    return _select_and_gate(x_star, score_fn(x_star, a, graph_id), graph_id, ratio,
                             lambda kept: rewire(s, a, kept))
 
 
 def local_cluster_selection_pool(
-    x: Tensor, a: CsrMatrix, score_fn, ratio: float, graph_id
+    x: Tensor, a: CsrMatrix, h: Tensor, ratio: float, graph_id
 ) -> PoolResult:
     """Local assignment selection specialized to the full 1-hop pattern.
 
     Every node contributes to exactly itself and its neighbours, so the
     assignment is the pattern of I + A and no matrix is learned: x are the
-    cluster features already, scored and gated as they are.  The pooled
-    adjacency is the pattern of :func:`rewire` over I + A, which is the
-    three-hop closure ``(I+A)^T A (I+A)`` on the kept nodes, directed or
-    not, with its self-loops stripped.  Requires unweighted edges.
+    cluster features already, gated by their score column h as they are.
+    The pooled adjacency is the pattern of :func:`rewire` over I + A, which
+    is the three-hop closure ``(I+A)^T A (I+A)`` on the kept nodes, directed
+    or not, with its self-loops stripped.  Requires unweighted edges.
     """
     if a.nnz and np.any(a.values != 1.0):
         raise ValueError("cluster selection requires unweighted edges")
     return _select_and_gate(
-        x, a, score_fn, graph_id, ratio,
+        x, h, graph_id, ratio,
         lambda kept: sparse.strip_diagonal(
             sparse.ones_pattern(rewire(sparse.add_self_loops(a), a, kept))),
     )
@@ -198,7 +200,7 @@ def lcpool(x: Tensor, a: CsrMatrix, scorer: Lcsmp, ratio: float, graph_id) -> Po
     """
     if not sparse.is_symmetric(a):
         raise ValueError("this pool expects an undirected (symmetric) adjacency")
-    return local_cluster_selection_pool(x, a, scorer, ratio, graph_id)
+    return local_cluster_selection_pool(x, a, scorer(x, a, graph_id), ratio, graph_id)
 
 
 def lcpool_star(
@@ -211,4 +213,5 @@ def lcpool_star(
     """
     if not sparse.is_symmetric(a):
         raise ValueError("this pool expects an undirected (symmetric) adjacency")
-    return local_cluster_selection_pool(cluster_conv(x, a), a, scorer, ratio, graph_id)
+    c = cluster_conv(x, a)
+    return local_cluster_selection_pool(c, a, scorer(c, a, graph_id), ratio, graph_id)

@@ -85,15 +85,13 @@ def check_identity_assignment(trials: int = 200, seed: int = 2) -> CheckResult:
         n = int(rng.integers(2, 16))
         d = int(rng.integers(1, 5))
         a = random_adjacency(rng, n)
-        x_values = rng.normal(size=(n, d))
+        x = diff.constant(rng.normal(size=(n, d)))
         gid = np.zeros(n, dtype=np.int64)
         ratio = float(rng.choice([0.3, 0.5, 0.7, 1.0]))
         score_fn = _linear_score(rng, d)
         via_identity = pooling.local_assignment_selection_pool(
-            diff.constant(x_values), a, lambda _x, adj: CsrMatrix.identity(adj.n_rows),
-            score_fn, ratio, gid,
-        )
-        direct = pooling.node_selection_pool(diff.constant(x_values), a, score_fn, ratio, gid)
+            x, a, CsrMatrix.identity(n), score_fn, ratio, gid)
+        direct = pooling.node_selection_pool(x, a, score_fn(x, a, gid), ratio, gid)
         same = (
             np.array_equal(via_identity.x.values, direct.x.values)
             and sparse.equal(via_identity.a, direct.a)
@@ -155,7 +153,7 @@ def check_contributor_connectivity(trials: int = 200, seed: int = 4) -> CheckRes
         s = CsrMatrix(n, n, star.row_ptr, star.col_idx, rng.uniform(0.1, 1.0, star.nnz))
         d = int(rng.integers(1, 4))
         result = pooling.local_assignment_selection_pool(
-            diff.constant(rng.normal(size=(n, d))), a, lambda _x, _a: s,
+            diff.constant(rng.normal(size=(n, d))), a, s,
             _linear_score(rng, d), 0.5, np.zeros(n, dtype=np.int64),
         )
         kept = result.kept.indices
@@ -301,7 +299,7 @@ def _primitive_cases(rng):
     p_ar = proj((4, 2))
     cases.append((
         "assignment_reduce",
-        lambda: p_ar(diff.assignment_reduce(assign, s1, seg, 2)),
+        lambda: p_ar(diff.assignment_reduce(assign, s1, seg)),
         [assign, s1],
     ))
     logits = Tensor(rng.normal(size=(4, 3)))

@@ -71,6 +71,7 @@ def test_06_linear_score_cancels_but_nonlinear_separates():
     assert result.passed, result.detail
 
 
+@pytest.mark.slow
 def test_07_desk_scale_learning_reaches_090():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -58,6 +58,11 @@ class TestForwardValues:
         sums = np.bincount(seg, weights=h)
         assert np.all(np.abs(sums[np.bincount(seg) > 0] - 1.0) < 1e-12)
 
+    def test_segment_softmax_rejects_a_gap(self):
+        # segment 1 has no rows, as segment_mean and segment_max also reject
+        with pytest.raises(ValueError, match="segment 1 has no rows"):
+            diff.segment_softmax(constant([[1.0], [2.0], [3.0]]), [0, 0, 2])
+
     def test_segment_mean_max_single_rows(self):
         x = constant([[2.0, -1.0], [5.0, 3.0]])
         mean = diff.segment_mean(x, [0, 1])

@@ -21,8 +21,7 @@ from graphpool.sparse import CsrMatrix, IndexSet
 
 
 def fixed_score(values):
-    h = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    return lambda x, a, gid: constant(h)
+    return constant(np.asarray(values, dtype=np.float64).reshape(-1, 1))
 
 
 def linear_score(rng, dim):
@@ -118,16 +117,15 @@ class TestNodeSelection:
 class TestDenseAssignment:
     def test_identity_assignment_keeps_graph(self):
         x = np.random.default_rng(1).normal(size=(4, 2))
-        assign = lambda t, a, gid: constant(np.eye(4))
-        result = dense_assignment_pool(constant(x), path4(), assign, 4, single_graph_ids(4))
+        result = dense_assignment_pool(constant(x), path4(), constant(np.eye(4)),
+                                       single_graph_ids(4))
         assert np.allclose(result.x.values, x)
         assert np.array_equal(sparse.to_dense(result.a), sparse.to_dense(path4()))
 
     def test_single_cluster_collapses_to_empty(self):
-        assign = lambda t, a, gid: constant(np.ones((4, 1)))
         result = dense_assignment_pool(
-            constant(np.arange(4, dtype=np.float64).reshape(4, 1)), path4(), assign, 1,
-            single_graph_ids(4))
+            constant(np.arange(4, dtype=np.float64).reshape(4, 1)), path4(),
+            constant(np.ones((4, 1))), single_graph_ids(4))
         assert np.array_equal(result.x.values, [[6.0]])  # column sum
         assert result.a.nnz == 0  # only entry was the dropped self-loop
 
@@ -138,7 +136,7 @@ class TestDenseAssignment:
         logits = rng.normal(size=(batch.x.shape[0], k))
         s = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         result = dense_assignment_pool(
-            constant(batch.x), batch.a, lambda t, a, gid: constant(s), k, batch.graph_id)
+            constant(batch.x), batch.a, constant(s), batch.graph_id)
         sparse.validate(result.a)
         expected_a = np.zeros((len(graphs) * k, len(graphs) * k))
         expected_x = np.zeros((len(graphs) * k, 3))
@@ -185,7 +183,7 @@ class TestDenseAssignment:
     def test_zero_clusters_rejected(self):
         with pytest.raises(ValueError):
             dense_assignment_pool(constant(np.eye(2)), CsrMatrix.empty(2, 2),
-                                  lambda t, a, gid: t, 0, single_graph_ids(2))
+                                  constant(np.empty((2, 0))), single_graph_ids(2))
 
 
 class TestLocalAssignmentValidation:
@@ -209,8 +207,8 @@ class TestLocalAssignmentValidation:
         s = CsrMatrix.from_coo(4, 4, [0], [3], [1.0])
         with pytest.raises(ValueError, match=r"\(0, 3\)"):
             local_assignment_selection_pool(
-                constant(np.eye(4)), path4(), lambda x, a: s,
-                fixed_score([1.0] * 4), 0.5, single_graph_ids(4))
+                constant(np.eye(4)), path4(), s,
+                lambda *_: fixed_score([1.0] * 4), 0.5, single_graph_ids(4))
 
 
 class TestLocalAssignmentSelection:
@@ -222,23 +220,55 @@ class TestLocalAssignmentSelection:
             x = rng.normal(size=(n, 3))
             score = linear_score(rng, 3)
             ratio = float(rng.choice([0.4, 0.7, 1.0]))
+            a = sparse.from_dense(ad)
             via_identity = local_assignment_selection_pool(
-                constant(x), sparse.from_dense(ad),
-                lambda _x, a: CsrMatrix.identity(a.n_rows), score, ratio,
-                single_graph_ids(n))
-            direct = node_selection_pool(constant(x), sparse.from_dense(ad), score,
+                constant(x), a, CsrMatrix.identity(n), score, ratio, single_graph_ids(n))
+            direct = node_selection_pool(constant(x), a,
+                                         score(constant(x), a, single_graph_ids(n)),
                                          ratio, single_graph_ids(n))
             assert np.array_equal(via_identity.x.values, direct.x.values)
             assert sparse.equal(via_identity.a, direct.a)
             assert np.array_equal(via_identity.kept.indices, direct.kept.indices)
+
+    def test_score_fn_scores_aggregated_features(self):
+        # a weighted local S with off-diagonal entries, so S^T x != x
+        rng = np.random.default_rng(14)
+        graphs = [Graph(n, rng.normal(size=(n, 3)),
+                        sparse.from_dense(random_adjacency_dense(rng, n, p=0.5)), 0)
+                  for n in (7, 5)]
+        batch = make_batch(graphs)
+        star = sparse.add_self_loops(batch.a)
+        assert star.nnz > batch.a.n_rows
+        s = CsrMatrix(star.n_rows, star.n_cols, star.row_ptr, star.col_idx,
+                      rng.uniform(0.1, 1.0, star.nnz))
+        w = rng.normal(size=(3, 1))
+        calls = []
+
+        def score_fn(x_star, a, gid):
+            calls.append((x_star.values, a, np.asarray(gid)))
+            return diff.matmul(x_star, constant(w))
+
+        result = local_assignment_selection_pool(
+            constant(batch.x), batch.a, s, score_fn, 0.5, batch.graph_id)
+        x_star = sparse.to_dense(s).T @ batch.x
+        assert len(calls) == 1
+        seen_x, seen_a, seen_gid = calls[0]
+        np.testing.assert_allclose(seen_x, x_star, rtol=1e-12, atol=1e-12)
+        assert seen_a is batch.a
+        assert np.array_equal(seen_gid, batch.graph_id)
+        h = seen_x @ w
+        assert np.array_equal(result.scores.values, h)
+        kept = topk(constant(h), batch.graph_id, 0.5).indices
+        assert np.array_equal(result.kept.indices, kept)
+        assert np.array_equal(result.x.values, (seen_x * h)[kept])
 
     def test_endpoint_contributors_connect_on_path(self):
         # keeping only 0 and 3 of the path: their one-hop contributor sets
         # contain adjacent nodes 1 and 2, so the pooled pair gets an edge
         star = sparse.add_self_loops(path4())
         result = local_assignment_selection_pool(
-            constant(np.eye(4)), path4(), lambda x, a: star,
-            fixed_score([1.0, 0.0, 0.0, 1.0]), 0.5, single_graph_ids(4))
+            constant(np.eye(4)), path4(), star,
+            lambda *_: fixed_score([1.0, 0.0, 0.0, 1.0]), 0.5, single_graph_ids(4))
         assert np.array_equal(result.kept.indices, [0, 3])
         assert sparse.to_dense(result.a)[0, 1] != 0
 
@@ -252,7 +282,7 @@ class TestLocalAssignmentSelection:
             s = CsrMatrix(n, n, star.row_ptr, star.col_idx,
                           rng.uniform(0.1, 1.0, star.nnz))
             result = local_assignment_selection_pool(
-                constant(rng.normal(size=(n, 2))), a, lambda _x, _a: s,
+                constant(rng.normal(size=(n, 2))), a, s,
                 linear_score(rng, 2), 0.6, single_graph_ids(n))
             kept = result.kept.indices
             pooled = sparse.to_dense(result.a) != 0
@@ -281,7 +311,7 @@ class TestLocalClusterSelection:
             score = fixed_score(rng.normal(size=n))
             star = sparse.add_self_loops(a)
             via_assignment = local_assignment_selection_pool(
-                constant(x), a, lambda _x, _a: star, score, ratio, single_graph_ids(n))
+                constant(x), a, star, lambda *_: score, ratio, single_graph_ids(n))
             via_cluster = local_cluster_selection_pool(
                 diff.spmm_const(sparse.transpose(star), constant(x)), a,
                 score, ratio, single_graph_ids(n))

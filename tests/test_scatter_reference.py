@@ -143,7 +143,7 @@ def test_assignment_reduce_matches_add_at(case):
     k = 3
     s = Tensor(rng.uniform(0.1, 1.0, size=(seg.size, k)))
     x = Tensor(rng.normal(size=(seg.size, 4)))
-    out = diff.assignment_reduce(s, x, seg, k)
+    out = diff.assignment_reduce(s, x, seg)
     n = int(seg[-1]) + 1 if seg.size else 0
     ref = add_at_rows(n, seg, s.values[:, :, None] * x.values[:, None, :])
     assert_rel_close(out.values, ref.reshape(n * k, 4), 1e-12)
@@ -151,7 +151,7 @@ def test_assignment_reduce_matches_add_at(case):
     # backward against the outer-product einsum formulas
     upstream = rng.normal(size=(n * k, 4))
     with Tape():
-        loss = diff.sum_all(diff.mul(diff.assignment_reduce(s, x, seg, k), constant(upstream)))
+        loss = diff.sum_all(diff.mul(diff.assignment_reduce(s, x, seg), constant(upstream)))
     backward(loss)
     g3 = upstream.reshape(n, k, 4)[seg]
     assert_rel_close(s.grad, np.einsum("ncd,nd->nc", g3, x.values), 1e-12)
