@@ -25,7 +25,7 @@ class Graph:
     def __post_init__(self):
         if self.num_nodes < 1:
             raise ValueError("a graph needs at least one node")
-        if self.x.shape[0] != self.num_nodes or self.x.ndim != 2:
+        if self.x.ndim != 2 or self.x.shape[0] != self.num_nodes:
             raise ValueError("feature matrix must be num_nodes x d")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("node features must be finite")

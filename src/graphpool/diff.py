@@ -5,6 +5,12 @@ per thread); :func:`backward` replays the records in reverse and accumulates
 exact vector-Jacobian products into ``Tensor.grad``.  Forward evaluation with
 no active tape records nothing, which is how inference and finite-difference
 probes run.
+
+Gradients are handed over, not copied.  A rule may pass any array of the
+input's shape, including the output's own gradient or a view of it, and the
+first one a tensor receives becomes its ``grad``; a later one is summed into
+a new array.  A stored gradient is read-only and never written again, so one
+array can be the gradient of several tensors.
 """
 
 from __future__ import annotations
@@ -94,13 +100,10 @@ def _record(out: Tensor, rule) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        # a copy in the layout of t.values: g may be another tensor's grad,
-        # be passed on again, or be a transposed view
-        t.grad = np.empty_like(t.values)
-        np.copyto(t.grad, g)
-    else:
-        t.grad += g
+    if g.shape != t.values.shape:
+        raise ValueError(f"gradient shape {g.shape} does not match tensor shape {t.values.shape}")
+    t.grad = g if t.grad is None else t.grad + g
+    t.grad.flags.writeable = False
 
 
 def backward(loss: Tensor) -> None:
@@ -120,6 +123,7 @@ def backward(loss: Tensor) -> None:
     if not entries:
         raise RuntimeError("backward was already run on this tape")
     loss.grad = np.ones((1, 1))
+    loss.grad.flags.writeable = False
     while entries:
         out, rule = entries.pop()
         if out.grad is not None:
@@ -169,7 +173,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     ``weight`` is (out, in).  The product runs against a contiguous copy of
     weight^T and the weight gradient is formed as (x^T g)^T: OpenBLAS's
-    small-matrix path gives other bits for the ``weight.T`` view.
+    small-matrix path gives other bits for the ``weight.T`` view.  It is
+    handed over as a C-ordered copy, the layout Adam runs fastest on.
     """
     if x.cols != weight.cols:
         raise ValueError(f"linear shape mismatch: {x.shape} @ {weight.shape}^T")
@@ -182,7 +187,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def rule(g):
         _accumulate(x, g @ wt.T)
-        _accumulate(weight, (x.values.T @ g).T)
+        _accumulate(weight, np.ascontiguousarray((x.values.T @ g).T))
         if bias is not None:
             _accumulate(bias, g.sum(axis=0, keepdims=True))
 
@@ -390,13 +395,11 @@ def segment_softmax(t: Tensor, segment_id) -> Tensor:
     return _record(out, rule)
 
 
-def _segment_bounds(seg: np.ndarray, n_segments: int | None = None) -> np.ndarray:
-    """Row extents of each segment; n_segments defaults to the last id + 1."""
-    if n_segments is None:
-        if seg.size == 0:
-            raise ValueError("segment ids are empty")
-        n_segments = int(seg[-1]) + 1
-    bounds = sparse.row_extents(seg, n_segments)
+def _segment_bounds(seg: np.ndarray) -> np.ndarray:
+    """Row extents of segments 0 .. last id, each of which must have rows."""
+    if seg.size == 0:
+        raise ValueError("segment ids are empty")
+    bounds = sparse.row_extents(seg, int(seg[-1]) + 1)
     counts = np.diff(bounds)
     if np.any(counts == 0):
         missing = int(np.nonzero(counts == 0)[0][0])
@@ -404,9 +407,9 @@ def _segment_bounds(seg: np.ndarray, n_segments: int | None = None) -> np.ndarra
     return bounds
 
 
-def segment_mean(x: Tensor, segment_id, n_segments: int | None = None) -> Tensor:
+def segment_mean(x: Tensor, segment_id) -> Tensor:
     seg = _segments(segment_id, x.rows)
-    bounds = _segment_bounds(seg, n_segments)
+    bounds = _segment_bounds(seg)
     counts = np.diff(bounds).astype(np.float64)
     out = Tensor(sparse.row_sums(bounds, x.values) / counts[:, None])
 
@@ -416,9 +419,9 @@ def segment_mean(x: Tensor, segment_id, n_segments: int | None = None) -> Tensor
     return _record(out, rule)
 
 
-def segment_max(x: Tensor, segment_id, n_segments: int | None = None) -> Tensor:
+def segment_max(x: Tensor, segment_id) -> Tensor:
     seg = _segments(segment_id, x.rows)
-    bounds = _segment_bounds(seg, n_segments)
+    bounds = _segment_bounds(seg)
     n = bounds.size - 1
     vals = np.empty((n, x.cols))
     argrows = np.empty((n, x.cols), dtype=np.int64)

@@ -223,7 +223,6 @@ class Model:
         x = diff.constant(batch.x)
         a = batch.a
         gid = batch.graph_id
-        n_graphs = batch.graph_count
         x = diff.relu(self.pre(x))
         hierarchical = self.cfg.backbone == "hierarchical"
         summed = None
@@ -233,7 +232,7 @@ class Model:
                 result = pool(x, a, gid)
                 x, a, gid = result.x, result.a, result.graph_id
             if hierarchical or i == N_BLOCKS - 1:
-                r = readout(x, gid, n_graphs)
+                r = readout(x, gid)
                 summed = r if summed is None else diff.add(summed, r)
         return self.classifier(summed)
 

@@ -157,9 +157,6 @@ class Lcsmp:
         ]
 
 
-def readout(x: Tensor, graph_id, n_graphs: int | None = None) -> Tensor:
+def readout(x: Tensor, graph_id) -> Tensor:
     """Per-graph concat(mean, max) over node features; width doubles."""
-    return diff.concat_cols(
-        diff.segment_mean(x, graph_id, n_graphs),
-        diff.segment_max(x, graph_id, n_graphs),
-    )
+    return diff.concat_cols(diff.segment_mean(x, graph_id), diff.segment_max(x, graph_id))

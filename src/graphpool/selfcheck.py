@@ -207,7 +207,7 @@ def gradient_max_rel_err(loss_builder, tensors, eps: float = 1e-5,
     backward(loss)
     worst = 0.0
     for t in tensors:
-        grad = np.zeros_like(t.values) if t.grad is None else t.grad.copy()
+        grad = np.zeros_like(t.values) if t.grad is None else t.grad
         fd = finite_difference(lambda: loss_builder().values[0, 0], t, eps)
         mask = np.abs(fd) > fd_floor
         if mask.any():

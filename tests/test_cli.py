@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from graphpool import harness
+from graphpool import harness, selfcheck
 from graphpool.cli import build_parser, load_config, main
 
 
@@ -151,10 +151,23 @@ def test_parser_pool_choices_use_hyphens():
     assert args.pool == ["lcpool-star"]
 
 
-def test_selftest_command_passes(capsys):
+def _fake_check(name, passed):
+    return lambda: selfcheck.CheckResult(name, passed, "fake")
+
+
+# The real checks run with these arguments in tests/test_acceptance.py
+# (test_01-06, 08 and 10); here only the command's wiring is under test.
+def test_selftest_command_passes(capsys, monkeypatch):
+    monkeypatch.setattr(selfcheck, "FAST_CHECKS", (_fake_check("a", True), _fake_check("b", True)))
     assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 8 and "FAIL" not in out
+    assert capsys.readouterr().out.splitlines() == ["PASS a: fake", "PASS b: fake"]
+
+
+def test_selftest_command_fails_on_one_failing_check(capsys, monkeypatch):
+    checks = (_fake_check("good", True), _fake_check("bad", False))
+    monkeypatch.setattr(selfcheck, "FAST_CHECKS", checks)
+    assert main(["selftest"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["PASS good: fake", "FAIL bad: fake"]
 
 
 def test_console_entry_trains_a_pool_list(tmp_path):

@@ -314,6 +314,12 @@ class TestBatch:
         with pytest.raises(ValueError):
             Graph(0, np.ones((0, 1)), CsrMatrix.empty(0, 0), 0)
 
+    @pytest.mark.parametrize("x", [np.float64(1.0), np.ones(1), np.ones((2, 1)), np.ones((1, 1, 1))],
+                             ids=["0-d", "1-d", "wrong-rows", "3-d"])
+    def test_feature_matrix_shape_rejected(self, x):
+        with pytest.raises(ValueError, match="feature matrix must be num_nodes x d"):
+            Graph(1, x, CsrMatrix.empty(1, 1), 0)
+
     def test_weighted_graph_rejected(self):
         a = CsrMatrix.from_coo(2, 2, [0, 1], [1, 0], [2.0, 2.0])
         with pytest.raises(ValueError):

@@ -105,6 +105,23 @@ class TestModelBuilding:
         logits = model.forward(make_batch(ds.graphs[:3]))
         assert logits.tape is None
 
+    @pytest.mark.parametrize("backbone", ["hierarchical", "plain"])
+    @pytest.mark.parametrize("pool", harness.POOLS)
+    def test_parameter_gradients_are_c_ordered_and_read_only(self, backbone, pool):
+        # Adam updates C-ordered gradients fastest, and a stored gradient may
+        # be shared with other tensors, so none may be written after backward
+        ds = make_synthetic("two_communities", 8, seed=3)
+        model = build_model(ModelConfig(backbone=backbone, pool=pool, **TINY), ds.feature_dim,
+                            ds.num_classes, seed=0, mean_nodes=ds.mean_nodes)
+        batch = make_batch(ds.graphs)
+        with diff.Tape():
+            loss = diff.cross_entropy(model.forward(batch), batch.labels)
+        diff.backward(loss)
+        for p in model.parameters():
+            g = p.tensor.grad
+            assert g is not None and g.shape == p.tensor.shape, p.name
+            assert g.flags.c_contiguous and not g.flags.writeable, p.name
+
 
 class TestEarlyStoppingRules:
     def test_improvement_every_epoch_runs_to_max(self):

@@ -329,11 +329,11 @@ class TestMlpAndReadout:
 
     def test_single_node_readout_duplicates_row(self):
         x = constant([[1.0, 2.0]])
-        out = readout(x, [0], 1)
+        out = readout(x, [0])
         assert np.array_equal(out.values, [[1.0, 2.0, 1.0, 2.0]])
 
     def test_mean_then_max_blocks(self):
-        out = readout(constant([[1.0], [3.0]]), [0, 0], 1)
+        out = readout(constant([[1.0], [3.0]]), [0, 0])
         assert np.array_equal(out.values, [[2.0, 3.0]])
 
     def test_linear_matches_formula(self):
