@@ -446,7 +446,7 @@ def segment_max(x: Tensor, segment_id) -> Tensor:
 
 def _segment_products(s: np.ndarray, y: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """The (G, k, width) stack of s[rows].T @ y[rows], one BLAS product per
-    segment of the row extents bounds; an empty segment gives a zero block."""
+    segment of the row extents bounds."""
     out = np.empty((bounds.size - 1, s.shape[1], y.shape[1]))
     for g in range(bounds.size - 1):
         rows = slice(bounds[g], bounds[g + 1])
@@ -464,9 +464,8 @@ def assignment_reduce(s: Tensor, x: Tensor, segment_id) -> Tensor:
     if s.rows != x.rows:
         raise ValueError("assignment and features must have equal rows")
     k = s.cols
-    seg = _segments(segment_id, x.rows)
-    n = int(seg[-1]) + 1 if seg.size else 0
-    bounds = sparse.row_extents(seg, n)
+    bounds = _segment_bounds(_segments(segment_id, x.rows))
+    n = bounds.size - 1
     out = Tensor(_segment_products(s.values, x.values, bounds).reshape(n * k, x.cols))
 
     def rule(g):
@@ -556,6 +555,10 @@ def save_parameters(params, path) -> None:
 
 
 def load_parameters(params, path) -> None:
+    """Load every parameter from a checkpoint, or none: each entry is checked
+    (present, same shape, finite) before any is assigned.  Extra entries are
+    ignored."""
+    loaded = []
     with np.load(path) as data:
         for p in params:
             if p.name not in data:
@@ -563,4 +566,8 @@ def load_parameters(params, path) -> None:
             arr = np.asarray(data[p.name], dtype=np.float64)
             if arr.shape != p.tensor.shape:
                 raise ValueError(f"shape mismatch for {p.name!r}")
-            p.tensor.values = arr.copy()
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"parameter {p.name!r} has non-finite values")
+            loaded.append(arr)
+    for p, arr in zip(params, loaded):
+        p.tensor.values = arr.copy()

@@ -20,6 +20,7 @@ BACKBONES = ("hierarchical", "plain")
 CONVS = ("gcn", "graphconv")
 POOLS = ("nopool", "topk", "sag", "dense", "lcpool", "lcpool_star")
 N_BLOCKS = 3
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, validation, test
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,6 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 0.0005
     seed: int = 0
-    split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
         if min(self.max_epochs, self.patience, self.batch_size) < 1 or self.lr <= 0:
@@ -343,7 +343,7 @@ def evaluate_suite(models, dataset: Dataset, runs: int, cfg: TrainConfig,
         for r in range(runs):
             run_seed = cfg.seed + r
             run_cfg = replace(cfg, seed=run_seed)
-            parts = split(dataset, cfg.split_ratios, run_seed)
+            parts = split(dataset, SPLIT_RATIOS, run_seed)
             model = build_model(
                 mcfg, dataset.feature_dim, dataset.num_classes, run_seed,
                 mean_nodes=dataset.mean_nodes,

@@ -123,7 +123,8 @@ class Lcsmp:
 
     Each edge carries relu(L_d(x_i - x_k)); the per-node sum goes through
     L_fd, is added to relu(L_x(x_i)), and L_s projects to one score per
-    node.  The softmax over each graph's nodes is applied by __call__.
+    node.  The softmax over each graph's nodes is applied by __call__; it
+    ignores a shift of all scores, so L_s has no bias.
 
     L_d is affine, so relu(L_d(x_i - x_k)) = relu(Q_i - P_k) with the node
     projection P = X W_d^T and Q = P + b_d: the widest matmul runs on the
@@ -137,7 +138,7 @@ class Lcsmp:
         self.l_diff = Linear(in_dim, hidden, rng, f"{name}.ld")
         self.l_agg = Linear(hidden, hidden, rng, f"{name}.lfd")
         self.l_self = Linear(in_dim, hidden, rng, f"{name}.lx")
-        self.l_score = Linear(hidden, 1, rng, f"{name}.ls")
+        self.l_score = Linear(hidden, 1, rng, f"{name}.ls", bias=False)
 
     def pre_softmax(self, x: Tensor, a: CsrMatrix) -> Tensor:
         p = diff.linear(x, self.l_diff.weight.tensor)

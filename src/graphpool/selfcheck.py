@@ -193,6 +193,27 @@ def finite_difference(loss_fn, tensor: Tensor, eps: float = 1e-5) -> np.ndarray:
     return fd
 
 
+def _worst_element(loss_builder, tensors, eps: float, fd_floor: float):
+    """(rel err, tensor position, element index, |tape gradient|) of the
+    element where tape and finite-difference gradients differ most."""
+    for t in tensors:
+        t.grad = None
+    with Tape():
+        loss = loss_builder()
+    backward(loss)
+    worst = (0.0, None, None, 0.0)
+    for i, t in enumerate(tensors):
+        grad = np.zeros_like(t.values) if t.grad is None else t.grad
+        fd = finite_difference(lambda: loss_builder().values[0, 0], t, eps)
+        mask = np.abs(fd) > fd_floor
+        rel = np.divide(np.abs(fd - grad), np.maximum(np.abs(fd), np.abs(grad)),
+                        out=np.zeros_like(fd), where=mask)
+        idx = np.unravel_index(np.argmax(rel), rel.shape)
+        if rel[idx] > worst[0]:
+            worst = (float(rel[idx]), i, tuple(int(j) for j in idx), float(abs(grad[idx])))
+    return worst
+
+
 def gradient_max_rel_err(loss_builder, tensors, eps: float = 1e-5,
                          fd_floor: float = 1e-8) -> float:
     """Max relative error between tape and finite-difference gradients.
@@ -200,111 +221,69 @@ def gradient_max_rel_err(loss_builder, tensors, eps: float = 1e-5,
     loss_builder() must rebuild the forward pass from current tensor values
     and return the loss Tensor.  Elements with |fd| <= fd_floor are skipped.
     """
-    for t in tensors:
-        t.grad = None
-    with Tape():
-        loss = loss_builder()
-    backward(loss)
-    worst = 0.0
-    for t in tensors:
-        grad = np.zeros_like(t.values) if t.grad is None else t.grad
-        fd = finite_difference(lambda: loss_builder().values[0, 0], t, eps)
-        mask = np.abs(fd) > fd_floor
-        if mask.any():
-            rel = np.abs(fd - grad)[mask] / np.maximum(np.abs(fd), np.abs(grad))[mask]
-            worst = max(worst, float(rel.max()))
-    return worst
+    return _worst_element(loss_builder, tensors, eps, fd_floor)[0]
 
 
-def _primitive_cases(rng):
-    """(name, loss_builder, tensors) triples covering every primitive."""
-    def proj(shape):  # fixed random projection to a scalar, drawn once per case
-        r = rng.normal(size=shape)
-        return lambda t: diff.sum_all(diff.mul(t, diff.constant(r)))
+def keyed_rng(*key) -> np.random.Generator:
+    """A generator seeded by its key alone, so no draw depends on another."""
+    return np.random.default_rng(list(":".join(map(str, key)).encode()))
 
+
+# Fixed structures of the primitive cases.  The unsorted, duplicated edge
+# index is Lcsmp's col_idx shape (output row 2 never hit); the asymmetric
+# pattern has empty rows 2 and 4, node 4 only a column and node 5 only a row.
+_GATHER_IDX = np.array([0, 2, 2, 4])
+_SCATTER_IDX = np.array([0, 0, 1, 3, 3])
+_EDGE_IDX = np.array([3, 0, 4, 0, 3, 1, 3])
+_PATTERN = CsrMatrix.from_coo(
+    6, 6, [0, 0, 1, 1, 1, 3, 5, 5], [1, 4, 0, 3, 4, 1, 0, 3], np.ones(8))
+_ADJ = random_adjacency(np.random.default_rng(7), 5, p=0.5)
+_SEG = np.array([0, 0, 0, 1, 1])
+_LABELS = np.array([0, 2, 1, 2])
+
+# name -> (forward over the input tensors, input shapes)
+_PRIMITIVES = {
+    "matmul": (diff.matmul, [(3, 4), (4, 2)]),
+    "linear": (diff.linear, [(2, 2), (4, 2), (1, 4)]),
+    "add": (diff.add, [(3, 4), (3, 4)]),
+    "sub": (diff.sub, [(3, 4), (3, 4)]),
+    "mul": (diff.mul, [(3, 4), (3, 4)]),
+    "add_bias": (diff.add_bias, [(3, 4), (1, 4)]),
+    "broadcast_col": (diff.broadcast_col, [(3, 4), (3, 1)]),
+    "relu": (diff.relu, [(4, 3)]),
+    "tanh": (diff.tanh, [(4, 3)]),
+    "row_softmax": (diff.row_softmax, [(4, 3)]),
+    "sum_all": (diff.sum_all, [(4, 3)]),
+    "concat_cols": (diff.concat_cols, [(3, 4), (3, 4)]),
+    "gather_rows": (lambda x: diff.gather_rows(x, _GATHER_IDX), [(5, 3)]),
+    "scatter_sum": (lambda x: diff.scatter_sum(x, _SCATTER_IDX, 4), [(5, 3)]),
+    "gather_rows/scatter_sum unsorted": (
+        lambda x, w: diff.scatter_sum(diff.mul(diff.gather_rows(x, _EDGE_IDX), w), _EDGE_IDX, 5),
+        [(5, 3), (7, 3)],
+    ),
+    "edge_relu_sum": (lambda q, p: diff.edge_relu_sum(q, p, _PATTERN), [(6, 3), (6, 3)]),
+    "spmm_const": (lambda x: diff.spmm_const(_ADJ, x), [(5, 2)]),
+    "segment_softmax": (lambda x: diff.segment_softmax(x, _SEG), [(5, 1)]),
+    "segment_mean": (lambda x: diff.segment_mean(x, _SEG), [(5, 2)]),
+    "segment_max": (lambda x: diff.segment_max(x, _SEG), [(5, 2)]),
+    "assignment_reduce": (lambda s, x: diff.assignment_reduce(s, x, _SEG), [(5, 2), (5, 2)]),
+    "cross_entropy": (lambda x: cross_entropy(x, _LABELS), [(4, 3)]),
+}
+
+
+def _primitive_cases(seed):
+    """(name, loss_builder, tensors) triples covering every primitive.
+
+    Each case draws its inputs, then a fixed projection of its output to a
+    scalar, from a generator keyed by (seed, name).
+    """
     cases = []
-    a = Tensor(rng.normal(size=(3, 4)))
-    b = Tensor(rng.normal(size=(4, 2)))
-    p = proj((3, 2))
-    cases.append(("matmul", lambda: p(diff.matmul(a, b)), [a, b]))
-    # exactly 24 normal draws: every later case and the end-to-end configs
-    # read the shared generator after them
-    lx = Tensor(rng.normal(size=(2, 2)))
-    lw = Tensor(rng.normal(size=(4, 2)))
-    lb = Tensor(rng.normal(size=(1, 4)))
-    p_l = proj((2, 4))
-    cases.append(("linear", lambda: p_l(diff.linear(lx, lw, lb)), [lx, lw, lb]))
-    u = Tensor(rng.normal(size=(3, 4)))
-    v = Tensor(rng.normal(size=(3, 4)))
-    p_uv = proj((3, 4))
-    cases.append(("add", lambda: p_uv(diff.add(u, v)), [u, v]))
-    cases.append(("sub", lambda: p_uv(diff.sub(u, v)), [u, v]))
-    cases.append(("mul", lambda: p_uv(diff.mul(u, v)), [u, v]))
-    bias = Tensor(rng.normal(size=(1, 4)))
-    cases.append(("add_bias", lambda: p_uv(diff.add_bias(u, bias)), [u, bias]))
-    col = Tensor(rng.normal(size=(3, 1)))
-    cases.append(("broadcast_col", lambda: p_uv(diff.broadcast_col(u, col)), [u, col]))
-    r1 = Tensor(rng.normal(size=(4, 3)) + 0.2)
-    p_r = proj((4, 3))
-    cases.append(("relu", lambda: p_r(diff.relu(r1)), [r1]))
-    cases.append(("tanh", lambda: p_r(diff.tanh(r1)), [r1]))
-    cases.append(("row_softmax", lambda: p_r(diff.row_softmax(r1)), [r1]))
-    cases.append(("sum_all", lambda: diff.sum_all(r1), [r1]))
-    p_cat = proj((3, 8))
-    cases.append(("concat_cols", lambda: p_cat(diff.concat_cols(u, v)), [u, v]))
-    g1 = Tensor(rng.normal(size=(5, 3)))
-    gather_idx = np.array([0, 2, 2, 4])
-    p_g = proj((4, 3))
-    cases.append(("gather_rows", lambda: p_g(diff.gather_rows(g1, gather_idx)), [g1]))
-    scatter_idx = np.array([0, 0, 1, 3, 3])
-    cases.append(("scatter_sum", lambda: p_g(diff.scatter_sum(g1, scatter_idx, 4)), [g1]))
-    # Lcsmp's col_idx shape: unsorted, duplicated, output row 2 never hit.
-    # Drawn from its own generator so the cases after it see the same draws.
-    edge_rng = np.random.default_rng(9)
-    edge_idx = np.array([3, 0, 4, 0, 3, 1, 3])
-    edge_w = diff.constant(edge_rng.normal(size=(7, 3)))
-    node_w = diff.constant(edge_rng.normal(size=(5, 3)))
-    cases.append((
-        "gather_rows/scatter_sum unsorted",
-        lambda: diff.sum_all(diff.mul(diff.scatter_sum(
-            diff.mul(diff.gather_rows(g1, edge_idx), edge_w), edge_idx, 5), node_w)),
-        [g1],
-    ))
-    # Asymmetric pattern: rows 2 and 4 are empty, node 4 is only a column,
-    # node 5 only a row.  Own generator; the smallest stored difference
-    # q[i] - p[k] of this draw is 0.065, far from the relu kink.
-    relu_rng = np.random.default_rng(11)
-    pattern = CsrMatrix.from_coo(
-        6, 6, [0, 0, 1, 1, 1, 3, 5, 5], [1, 4, 0, 3, 4, 1, 0, 3], np.ones(8))
-    edge_q = Tensor(relu_rng.normal(size=(6, 3)))
-    edge_p = Tensor(relu_rng.normal(size=(6, 3)))
-    relu_w = diff.constant(relu_rng.normal(size=(6, 3)))
-    cases.append((
-        "edge_relu_sum",
-        lambda: diff.sum_all(diff.mul(diff.edge_relu_sum(edge_q, edge_p, pattern), relu_w)),
-        [edge_q, edge_p],
-    ))
-    adj = random_adjacency(np.random.default_rng(7), 5, p=0.5)
-    s1 = Tensor(rng.normal(size=(5, 2)))
-    p_s = proj((5, 2))
-    cases.append(("spmm_const", lambda: p_s(diff.spmm_const(adj, s1)), [s1]))
-    seg = np.array([0, 0, 0, 1, 1])
-    sm = Tensor(rng.normal(size=(5, 1)))
-    p_sm = proj((5, 1))
-    cases.append(("segment_softmax", lambda: p_sm(diff.segment_softmax(sm, seg)), [sm]))
-    p_seg = proj((2, 2))
-    cases.append(("segment_mean", lambda: p_seg(diff.segment_mean(s1, seg)), [s1]))
-    cases.append(("segment_max", lambda: p_seg(diff.segment_max(s1, seg)), [s1]))
-    assign = Tensor(rng.uniform(0.1, 1.0, size=(5, 2)))
-    p_ar = proj((4, 2))
-    cases.append((
-        "assignment_reduce",
-        lambda: p_ar(diff.assignment_reduce(assign, s1, seg)),
-        [assign, s1],
-    ))
-    logits = Tensor(rng.normal(size=(4, 3)))
-    labels = np.array([0, 2, 1, 2])
-    cases.append(("cross_entropy", lambda: cross_entropy(logits, labels), [logits]))
+    for name, (forward, shapes) in _PRIMITIVES.items():
+        rng = keyed_rng(seed, name)
+        inputs = [Tensor(rng.normal(size=shape)) for shape in shapes]
+        proj = diff.constant(rng.normal(size=forward(*inputs).shape))
+        builder = lambda f=forward, xs=inputs, r=proj: diff.sum_all(diff.mul(f(*xs), r))
+        cases.append((name, builder, inputs))
     return cases
 
 
@@ -331,32 +310,42 @@ _GRAD_CONFIGS = (
 )
 
 
-def check_gradients(seed: int = 5, tol: float = 1e-4) -> CheckResult:
-    """Primitives and four end-to-end models vs central finite differences."""
-    rng = np.random.default_rng(seed)
-    worst_name, worst = "", 0.0
-    for name, builder, tensors in _primitive_cases(rng):
-        err = gradient_max_rel_err(builder, tensors)
-        if err > worst:
-            worst_name, worst = name, err
-        if err > tol:
-            return CheckResult("gradient-suite", False, f"{name} rel err {err:.2e}")
-    batch = _grad_batch(rng)
+def _set_probe_values(params, seed: int, config_name: str) -> None:
+    """Move each parameter to a generic point, 0.5 * normal keyed by
+    (seed, config name, parameter name).
+
+    Moderate random weights keep relu kinks and selection boundaries far
+    beyond the probe step without saturating the softmax into vanishing
+    gradients.
+    """
+    for p in params:
+        p.tensor.values = 0.5 * keyed_rng(seed, config_name, p.name).normal(size=p.tensor.shape)
+
+
+def _gradient_cases(seed):
+    """(case name, loss_builder, tensors, tensor labels) for the primitives,
+    then for the end-to-end configs on one keyed two-graph batch."""
+    for name, builder, tensors in _primitive_cases(seed):
+        yield name, builder, tensors, [f"input {i}" for i in range(len(tensors))]
+    batch = _grad_batch(keyed_rng(seed, "batch"))
     for name, cfg in _GRAD_CONFIGS:
         model = harness.build_model(cfg, feature_dim=3, num_classes=2, seed=seed)
-        # evaluate at a generic point: moderate random weights keep relu kinks
-        # and selection boundaries far beyond the probe step without
-        # saturating the softmax into vanishing gradients
-        for p in model.parameters():
-            p.tensor.values = 0.5 * rng.normal(size=p.tensor.shape)
-        tensors = [p.tensor for p in model.parameters()]
-        builder = lambda: cross_entropy(model.forward(batch), batch.labels)
-        err = gradient_max_rel_err(builder, tensors)
+        params = model.parameters()
+        _set_probe_values(params, seed, name)
+        builder = lambda m=model: cross_entropy(m.forward(batch), batch.labels)
+        yield name, builder, [p.tensor for p in params], [p.name for p in params]
+
+
+def check_gradients(seed: int = 5, tol: float = 1e-4) -> CheckResult:
+    """Primitives and four end-to-end models vs central finite differences."""
+    worst, where = 0.0, ""
+    for name, builder, tensors, labels in _gradient_cases(seed):
+        err, i, idx, g = _worst_element(builder, tensors, eps=1e-5, fd_floor=1e-8)
         if err > worst:
-            worst_name, worst = name, err
+            worst, where = err, f"{name}, {labels[i]}{list(idx)}, |g| {g:.1e}"
         if err > tol:
-            return CheckResult("gradient-suite", False, f"{name} rel err {err:.2e}")
-    return CheckResult("gradient-suite", True, f"worst rel err {worst:.2e} ({worst_name})")
+            return CheckResult("gradient-suite", False, f"rel err {err:.2e} ({where})")
+    return CheckResult("gradient-suite", True, f"worst rel err {worst:.2e} ({where})")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
 
 from helpers import path4
-from graphpool import diff
+from graphpool import diff, harness, selfcheck
 from graphpool.diff import (
     Adam,
     Parameter,
@@ -58,8 +59,10 @@ class TestForwardValues:
         sums = np.bincount(seg, weights=h)
         assert np.all(np.abs(sums[np.bincount(seg) > 0] - 1.0) < 1e-12)
 
-    @pytest.mark.parametrize("op", [diff.segment_softmax, diff.segment_mean, diff.segment_max],
-                             ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("op", [
+        diff.segment_softmax, diff.segment_mean, diff.segment_max,
+        pytest.param(lambda t, seg: diff.assignment_reduce(t, t, seg), id="assignment_reduce"),
+    ], ids=lambda op: op.__name__)
     def test_segment_softmax_rejects_a_gap(self, op):
         # segment 1 has no rows, which every segment op rejects
         with pytest.raises(ValueError, match="segment 1 has no rows"):
@@ -263,9 +266,30 @@ class TestFiniteDifferences:
             and fn.__module__ == diff.__name__
             and "_record(" in inspect.getsource(fn)
         }
-        cases = {name for name, _, _ in _primitive_cases(np.random.default_rng(0))}
+        cases = {name for name, _, _ in _primitive_cases(0)}
         assert recording, "no recording primitives found"
         assert recording <= cases, f"no gradient-suite case for {sorted(recording - cases)}"
+
+    def test_leaving_a_case_out_moves_no_other_draw(self, monkeypatch):
+        full = {name: tensors for name, _, tensors in _primitive_cases(5)}
+        reduced = dict(selfcheck._PRIMITIVES)
+        del reduced["linear"]
+        monkeypatch.setattr(selfcheck, "_PRIMITIVES", reduced)
+        rest = {name: tensors for name, _, tensors in _primitive_cases(5)}
+        assert rest.keys() == full.keys() - {"linear"}
+        for name, tensors in rest.items():
+            for got, want in zip(tensors, full[name], strict=True):
+                assert np.array_equal(got.values, want.values), name
+
+    def test_a_failure_names_its_element(self, monkeypatch):
+        # the constant hides one factor of x * x from the tape: half the slope
+        broken = (lambda x: diff.mul(x, constant(x.values.copy())), [(2, 3)])
+        monkeypatch.setattr(selfcheck, "_PRIMITIVES", {"broken": broken})
+        monkeypatch.setattr(selfcheck, "_GRAD_CONFIGS", ())
+        result = selfcheck.check_gradients()
+        assert not result.passed
+        assert re.fullmatch(r"rel err 5\.00e-01 \(broken, input 0\[\d, \d\], \|g\| \S+\)",
+                            result.detail), result.detail
 
 
 # (rows, in, out): 16 x 64 @ 64 x 32 is a shape where OpenBLAS gives
@@ -381,3 +405,30 @@ class TestAdamAndCheckpoints:
         diff.save_parameters([p], path)
         with pytest.raises(KeyError):
             diff.load_parameters([Parameter("b", np.zeros((1, 1)))], path)
+
+    @pytest.mark.parametrize("bad, error, match", [
+        ({}, KeyError, "missing parameter 'b'"),
+        ({"b": np.ones((2, 1))}, ValueError, "shape mismatch for 'b'"),
+        ({"b": np.array([[1.0, np.nan]])}, ValueError, "'b' has non-finite values"),
+    ], ids=["missing", "shape", "nan"])
+    def test_failed_load_leaves_every_parameter_unchanged(self, tmp_path, bad, error, match):
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, a=np.ones((1, 2)), **bad)
+        params = [Parameter("a", np.zeros((1, 2))), Parameter("b", np.zeros((1, 2)))]
+        with pytest.raises(error, match=match):
+            diff.load_parameters(params, path)
+        for p in params:
+            assert np.array_equal(p.tensor.values, np.zeros((1, 2))), p.name
+
+    def test_checkpoint_with_an_extra_entry_loads(self, tmp_path):
+        # a checkpoint from before Lcsmp dropped its score bias
+        model = harness.build_model(harness.ModelConfig(pool="lcpool", hidden=4, pre_mlp=(4,),
+                                                        post_mlp=(4,)), 3, 2, seed=1)
+        params = model.parameters()
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, **{p.name: p.tensor.values + 1.0 for p in params},
+                 **{"block0.pool.scorer.ls.b": np.zeros((1, 1))})
+        want = [p.tensor.values + 1.0 for p in params]
+        diff.load_parameters(params, path)
+        for p, w in zip(params, want):
+            assert np.array_equal(p.tensor.values, w), p.name

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import training_fingerprint
-from graphpool import diff, harness, sparse
+from graphpool import diff, harness, selfcheck, sparse
 from graphpool.dataset import Graph, make_batch, make_synthetic, split
 from graphpool.harness import (
     ModelConfig,
@@ -79,6 +79,29 @@ class TestModelBuilding:
         reference = shapes["nopool"]
         for pool, got in shapes.items():
             assert got == reference, pool
+
+    @pytest.mark.parametrize("backbone", ["hierarchical", "plain"])
+    @pytest.mark.parametrize("pool", ["lcpool", "lcpool_star"])
+    def test_no_model_registers_the_score_bias(self, backbone, pool):
+        # the per-graph softmax ignores a shift of every score
+        model = build_model(ModelConfig(backbone=backbone, pool=pool, **TINY), 3, 2, seed=0)
+        names = [p.name for p in model.parameters()]
+        assert any(n.endswith(".ls.w") for n in names)
+        assert not [n for n in names if n.endswith(".ls.b")]
+
+    def test_probe_values_are_keyed_by_parameter_name(self):
+        name, cfg = selfcheck._GRAD_CONFIGS[0]
+        new = build_model(cfg, 3, 2, seed=5)
+        old = build_model(cfg, 3, 2, seed=5)
+        score = old.pools[-1].scorer.l_score
+        score.bias = diff.Parameter("pool.scorer.ls.b", np.zeros((1, 1)))
+        for model in (new, old):
+            selfcheck._set_probe_values(model.parameters(), 5, name)
+        old_values = {p.name: p.tensor.values for p in old.parameters()}
+        assert "pool.scorer.ls.b" in old_values
+        assert old_values.keys() - {"pool.scorer.ls.b"} == {p.name for p in new.parameters()}
+        for p in new.parameters():
+            assert np.array_equal(p.tensor.values, old_values[p.name]), p.name
 
     def test_dense_pool_stage_clusters_shrink(self):
         model = build_model(ModelConfig(pool="dense", ratio=0.5, **TINY), 1, 2,
@@ -165,7 +188,7 @@ class TestTraining:
     def test_record_fields_and_bounds(self):
         ds = tiny_dataset(30)
         cfg = self._cfg()
-        parts = split(ds, cfg.split_ratios, 0)
+        parts = split(ds, harness.SPLIT_RATIOS, 0)
         model = build_model(ModelConfig(pool="lcpool", **TINY), ds.feature_dim,
                             ds.num_classes, seed=0)
         with warnings.catch_warnings():
@@ -180,7 +203,7 @@ class TestTraining:
         cfg = self._cfg(max_epochs=3)
         records = []
         for _ in range(2):
-            parts = split(ds, cfg.split_ratios, 5)
+            parts = split(ds, harness.SPLIT_RATIOS, 5)
             model = build_model(ModelConfig(pool="topk", **TINY), ds.feature_dim,
                                 ds.num_classes, seed=5)
             with warnings.catch_warnings():
@@ -196,7 +219,7 @@ class TestTraining:
     def test_divergence_aborts_with_diagnostic(self):
         ds = tiny_dataset(30)
         cfg = self._cfg()
-        parts = split(ds, cfg.split_ratios, 0)
+        parts = split(ds, harness.SPLIT_RATIOS, 0)
         model = build_model(ModelConfig(pool="nopool", **TINY), ds.feature_dim,
                             ds.num_classes, seed=0)
         model.forward = lambda batch: diff.Tensor(
@@ -207,7 +230,7 @@ class TestTraining:
     def test_stop_at_first_epoch_warns(self):
         ds = tiny_dataset(30)
         cfg = self._cfg(max_epochs=1, seed=3)
-        parts = split(ds, cfg.split_ratios, 0)
+        parts = split(ds, harness.SPLIT_RATIOS, 0)
         model = build_model(ModelConfig(pool="nopool", **TINY), ds.feature_dim,
                             ds.num_classes, seed=0)
         with pytest.warns(UserWarning, match=r"epoch 1 \(hierarchical/gcn nopool, seed 3\)"):

@@ -143,12 +143,17 @@ def test_segment_mean_matches_add_at(case):
 def test_assignment_reduce_matches_add_at(case):
     rng = np.random.default_rng(45)
     lengths, _ = _shapes(rng)[case]
+    lengths = lengths[lengths > 0]  # assignment_reduce needs every segment filled
     seg = np.repeat(np.arange(lengths.size), lengths)
     k = 3
     s = Tensor(rng.uniform(0.1, 1.0, size=(seg.size, k)))
     x = Tensor(rng.normal(size=(seg.size, 4)))
+    if seg.size == 0:  # the segment count is the last id + 1, so there must be one
+        with pytest.raises(ValueError, match="segment ids are empty"):
+            diff.assignment_reduce(s, x, seg)
+        return
     out = diff.assignment_reduce(s, x, seg)
-    n = int(seg[-1]) + 1 if seg.size else 0
+    n = lengths.size
     ref = add_at_rows(n, seg, s.values[:, :, None] * x.values[:, None, :])
     assert_rel_close(out.values, ref.reshape(n * k, 4), 1e-12)
 
