@@ -13,8 +13,8 @@ import numpy as np
 
 from . import diff, pooling
 from .dataset import Dataset, GraphBatch, make_batch, split
-from .diff import Adam, Parameter, Tape, Tensor, backward, cross_entropy
-from .layers import GcnConv, GraphConv, Lcsmp, Linear, Mlp, readout
+from .diff import Adam, Tape, Tensor, backward, cross_entropy
+from .layers import GcnConv, GraphConv, Lcsmp, Linear, Mlp, Module, readout
 
 BACKBONES = ("hierarchical", "plain")
 CONVS = ("gcn", "graphconv")
@@ -32,7 +32,6 @@ class ModelConfig:
     ratio: float = 0.5
     pre_mlp: tuple[int, ...] = (128,)
     post_mlp: tuple[int, ...] = (256, 128)
-    dense_clusters: int | None = None  # dense baseline only; None derives from data
 
     def __post_init__(self):
         if self.backbone not in BACKBONES:
@@ -61,6 +60,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.max_epochs, self.patience, self.batch_size) < 1 or self.lr <= 0:
             raise ValueError("training settings must be positive")
+        if not np.isfinite(self.lr):
+            raise ValueError(f"learning rate must be finite, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class TrainingDiverged(RuntimeError):
 # pooling layers with their own trainable score/assignment functions
 
 
-class TopkPool:
+class TopkPool(Module):
     """Generic score-based selection: h = tanh(linear(x))."""
 
     def __init__(self, hidden, ratio, rng, name):
@@ -92,11 +93,8 @@ class TopkPool:
         h = diff.tanh(self.score(x))
         return pooling.node_selection_pool(x, a, h, self.ratio, graph_id)
 
-    def parameters(self):
-        return self.score.parameters()
 
-
-class SagPool:
+class SagPool(Module):
     """Selection with a convolution-derived score: tanh(linear(conv(x)))."""
 
     def __init__(self, hidden, ratio, rng, name):
@@ -108,11 +106,8 @@ class SagPool:
         h = diff.tanh(self.score(self.conv(x, a)))
         return pooling.node_selection_pool(x, a, h, self.ratio, graph_id)
 
-    def parameters(self):
-        return self.conv.parameters() + self.score.parameters()
 
-
-class DensePool:
+class DensePool(Module):
     """Soft assignment to a fixed cluster count: softmax(linear(x)) rows."""
 
     def __init__(self, hidden, k_clusters, rng, name):
@@ -125,11 +120,8 @@ class DensePool:
         s = diff.row_softmax(self.assign(x))
         return pooling.dense_assignment_pool(x, a, s, graph_id)
 
-    def parameters(self):
-        return self.assign.parameters()
 
-
-class LcPool:
+class LcPool(Module):
     def __init__(self, hidden, ratio, rng, name):
         self.scorer = Lcsmp(hidden, rng, f"{name}.scorer")
         self.ratio = ratio
@@ -137,11 +129,8 @@ class LcPool:
     def __call__(self, x, a, graph_id):
         return pooling.lcpool(x, a, self.scorer, self.ratio, graph_id)
 
-    def parameters(self):
-        return self.scorer.parameters()
 
-
-class LcPoolStar:
+class LcPoolStar(Module):
     def __init__(self, hidden, ratio, rng, name):
         self.cluster = GcnConv(hidden, hidden, rng, f"{name}.cluster")
         self.scorer = Lcsmp(hidden, rng, f"{name}.scorer")
@@ -149,9 +138,6 @@ class LcPoolStar:
 
     def __call__(self, x, a, graph_id):
         return pooling.lcpool_star(x, a, self.cluster, self.scorer, self.ratio, graph_id)
-
-    def parameters(self):
-        return self.cluster.parameters() + self.scorer.parameters()
 
 
 def _make_pool(cfg: ModelConfig, stage: int, rng, name: str, mean_nodes: float | None):
@@ -162,13 +148,10 @@ def _make_pool(cfg: ModelConfig, stage: int, rng, name: str, mean_nodes: float |
     if cfg.pool == "sag":
         return SagPool(cfg.hidden, cfg.ratio, rng, name)
     if cfg.pool == "dense":
-        if cfg.dense_clusters is not None:
-            base = cfg.dense_clusters
-        elif mean_nodes is not None:
-            base = pooling.kept_count(cfg.ratio, int(round(mean_nodes)))
-        else:
-            raise ValueError("dense pooling needs dense_clusters or dataset statistics")
+        if mean_nodes is None:
+            raise ValueError("dense pooling needs the mean graph size")
         # later stages shrink by the same ratio, mirroring the adaptive pools
+        base = pooling.kept_count(cfg.ratio, int(round(mean_nodes)))
         k = int(pooling.kept_count(cfg.ratio**stage, base))
         return DensePool(cfg.hidden, k, rng, name)
     if cfg.pool == "lcpool":
@@ -182,7 +165,7 @@ def _make_conv(cfg: ModelConfig, in_dim, rng, name):
     return GraphConv(in_dim, cfg.hidden, rng, name)
 
 
-class Model:
+class Model(Module):
     """Backbone assembling MLPs, convolutions, pools and readouts.
 
     hierarchical: pre-MLP, then three conv/pool blocks whose readouts are
@@ -208,16 +191,6 @@ class Model:
         names = [p.name for p in self.parameters()]
         if len(set(names)) != len(names):
             raise ValueError("parameter registered twice")
-
-    def parameters(self) -> list[Parameter]:
-        params = list(self.pre.parameters())
-        for conv in self.convs:
-            params.extend(conv.parameters())
-        for pool in self.pools:
-            if pool is not None:
-                params.extend(pool.parameters())
-        params.extend(self.classifier.parameters())
-        return params
 
     def forward(self, batch: GraphBatch) -> Tensor:
         x = diff.constant(batch.x)
@@ -411,6 +384,7 @@ _CSV_COLUMNS = ("backbone", "conv", "pool", "dataset", "run_seed",
 
 def _record_from_dict(data: dict) -> RunRecord:
     m = dict(data["model"])
+    m.pop("dense_clusters", None)  # a removed field that older results still store
     m["pre_mlp"] = tuple(m["pre_mlp"])
     m["post_mlp"] = tuple(m["post_mlp"])
     return RunRecord(

@@ -13,7 +13,24 @@ from .diff import Parameter, Tensor
 from .sparse import CsrMatrix
 
 
-class Linear:
+class Module:
+    """Something that trains the Parameters held in its attributes."""
+
+    def parameters(self) -> list[Parameter]:
+        """Every Parameter held in an attribute, directly, through a
+        sub-Module or in a list, in the order the attributes were first
+        assigned; any other value is skipped."""
+        params = []
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, Parameter):
+                    params.append(item)
+                elif isinstance(item, Module):
+                    params.extend(item.parameters())
+        return params
+
+
+class Linear(Module):
     """x @ W^T + b with W of shape (out_dim, in_dim); one tape entry per call."""
 
     def __init__(self, in_dim: int, out_dim: int, rng, name: str, bias: bool = True):
@@ -25,14 +42,8 @@ class Linear:
         bias = None if self.bias is None else self.bias.tensor
         return diff.linear(x, self.weight.tensor, bias)
 
-    def parameters(self) -> list[Parameter]:
-        params = [self.weight]
-        if self.bias is not None:
-            params.append(self.bias)
-        return params
 
-
-class Mlp:
+class Mlp(Module):
     """Chain of Linear layers with ReLU between them, none after the last."""
 
     def __init__(self, widths, rng, name: str):
@@ -49,9 +60,6 @@ class Mlp:
             x = diff.relu(layer(x))
         return self.layers[-1](x)
 
-    def parameters(self) -> list[Parameter]:
-        return [p for layer in self.layers for p in layer.parameters()]
-
 
 def gcn_normalized(a: CsrMatrix) -> CsrMatrix:
     """D^-1/2 (A + I) D^-1/2 with degrees taken from A + I."""
@@ -62,7 +70,7 @@ def gcn_normalized(a: CsrMatrix) -> CsrMatrix:
     return CsrMatrix(ah.n_rows, ah.n_cols, ah.row_ptr, ah.col_idx, scaled)
 
 
-class GcnConv:
+class GcnConv(Module):
     """Degree-normalized convolution with self-loops: norm(A) @ X @ W^T."""
 
     def __init__(self, in_dim: int, out_dim: int, rng, name: str):
@@ -73,11 +81,8 @@ class GcnConv:
         agg = diff.spmm_const(gcn_normalized(a), x)
         return diff.linear(agg, self.weight.tensor)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.weight]
 
-
-class GraphConv:
+class GraphConv(Module):
     """x_i' = W1^T x_i + W2^T sum of neighbour features."""
 
     def __init__(self, in_dim: int, out_dim: int, rng, name: str):
@@ -89,9 +94,6 @@ class GraphConv:
         own = diff.linear(x, self.w_root.tensor)
         agg = diff.linear(diff.spmm_const(a, x), self.w_nbr.tensor)
         return diff.add(own, agg)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w_root, self.w_nbr]
 
 
 def laplacian(a: CsrMatrix) -> CsrMatrix:
@@ -118,7 +120,7 @@ def laplacian_score(x: Tensor, a: CsrMatrix, w: Parameter) -> Tensor:
     return diff.linear(h, w.tensor)
 
 
-class Lcsmp:
+class Lcsmp(Module):
     """Message-passing score layer over local feature differences.
 
     Each edge carries relu(L_d(x_i - x_k)); the per-node sum goes through
@@ -149,13 +151,6 @@ class Lcsmp:
 
     def __call__(self, x: Tensor, a: CsrMatrix, graph_id) -> Tensor:
         return diff.segment_softmax(self.pre_softmax(x, a), graph_id)
-
-    def parameters(self) -> list[Parameter]:
-        return [
-            p
-            for layer in (self.l_diff, self.l_agg, self.l_self, self.l_score)
-            for p in layer.parameters()
-        ]
 
 
 def readout(x: Tensor, graph_id) -> Tensor:

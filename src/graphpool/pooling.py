@@ -196,10 +196,9 @@ def lcpool(x: Tensor, a: CsrMatrix, scorer: Lcsmp, ratio: float, graph_id) -> Po
     """Local cluster pooling: the cluster step is dismissed entirely.
 
     A 1-hop convolution ahead of the pool already plays the cluster role,
-    so the raw features are gated by the score directly.
+    so the raw features are gated by the score directly.  A directed
+    adjacency gets the general closure ``(I+A)^T A (I+A)`` on the kept nodes.
     """
-    if not sparse.is_symmetric(a):
-        raise ValueError("this pool expects an undirected (symmetric) adjacency")
     return local_cluster_selection_pool(x, a, scorer(x, a, graph_id), ratio, graph_id)
 
 
@@ -209,9 +208,8 @@ def lcpool_star(
     """Variant with an explicit extra convolution as the cluster function.
 
     The convolved features are both scored and gated; the pooled adjacency
-    is the same closure pattern as :func:`lcpool` for the same kept set.
+    is the same closure pattern as :func:`lcpool` for the same kept set,
+    the general ``(I+A)^T A (I+A)`` one for a directed adjacency.
     """
-    if not sparse.is_symmetric(a):
-        raise ValueError("this pool expects an undirected (symmetric) adjacency")
     c = cluster_conv(x, a)
     return local_cluster_selection_pool(c, a, scorer(c, a, graph_id), ratio, graph_id)

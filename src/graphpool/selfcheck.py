@@ -306,7 +306,7 @@ _GRAD_CONFIGS = (
     ("hierarchical+lcpool_star", harness.ModelConfig(
         backbone="hierarchical", pool="lcpool_star", hidden=5, pre_mlp=(5,), post_mlp=(6, 5))),
     ("plain+dense", harness.ModelConfig(
-        backbone="plain", pool="dense", hidden=5, pre_mlp=(5,), post_mlp=(6, 5), dense_clusters=3)),
+        backbone="plain", pool="dense", hidden=5, pre_mlp=(5,), post_mlp=(6, 5))),
 )
 
 
@@ -328,8 +328,10 @@ def _gradient_cases(seed):
     for name, builder, tensors in _primitive_cases(seed):
         yield name, builder, tensors, [f"input {i}" for i in range(len(tensors))]
     batch = _grad_batch(keyed_rng(seed, "batch"))
+    mean_nodes = batch.x.shape[0] / batch.graph_count
     for name, cfg in _GRAD_CONFIGS:
-        model = harness.build_model(cfg, feature_dim=3, num_classes=2, seed=seed)
+        model = harness.build_model(cfg, feature_dim=3, num_classes=2, seed=seed,
+                                    mean_nodes=mean_nodes)
         params = model.parameters()
         _set_probe_values(params, seed, name)
         builder = lambda m=model: cross_entropy(m.forward(batch), batch.labels)

@@ -1,3 +1,4 @@
+import json
 import os
 import warnings
 
@@ -103,6 +104,15 @@ class TestModelBuilding:
         for p in new.parameters():
             assert np.array_equal(p.tensor.values, old_values[p.name]), p.name
 
+    def test_parameter_order_is_the_fingerprinted_order(self):
+        model = build_model(ModelConfig(backbone="plain", conv="gcn", pool="sag", **TINY),
+                            3, 2, seed=0)
+        assert [p.name for p in model.parameters()] == [
+            "pre.0.w", "pre.0.b", "block0.conv.w", "block1.conv.w", "block2.conv.w",
+            "pool.conv.w", "pool.score.w", "pool.score.b",
+            "post.0.w", "post.0.b", "post.1.w", "post.1.b",
+        ]
+
     def test_dense_pool_stage_clusters_shrink(self):
         model = build_model(ModelConfig(pool="dense", ratio=0.5, **TINY), 1, 2,
                             seed=0, mean_nodes=12.0)
@@ -184,6 +194,11 @@ class TestTraining:
         base = dict(max_epochs=4, patience=3, batch_size=8, lr=0.01, seed=0)
         base.update(kw)
         return TrainConfig(**base)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError):
+            TrainConfig(lr=lr)
 
     def test_record_fields_and_bounds(self):
         ds = tiny_dataset(30)
@@ -310,6 +325,16 @@ class TestReporting:
         path = tmp_path / "records.json"
         records = self._records()
         save_records(records, path)
+        assert load_records(path) == records
+
+    def test_record_with_the_removed_dense_clusters_key_loads(self, tmp_path):
+        path = tmp_path / "records.json"
+        records = self._records()
+        save_records(records, path)
+        data = json.loads(path.read_text())
+        for rec in data["records"]:
+            rec["model"]["dense_clusters"] = None
+        path.write_text(json.dumps(data))
         assert load_records(path) == records
 
     def test_csv_matches_golden_file(self):

@@ -10,6 +10,7 @@ from graphpool.layers import (
     Lcsmp,
     Linear,
     Mlp,
+    Module,
     gcn_normalized,
     laplacian,
     laplacian_score,
@@ -29,6 +30,26 @@ def set_weight(layer, w, b=None):
     layer.weight.tensor.values = np.asarray(w, dtype=np.float64)
     if b is not None and layer.bias is not None:
         layer.bias.tensor.values = np.asarray(b, dtype=np.float64)
+
+
+class TestModule:
+    def test_parameters_are_listed_in_attribute_order(self):
+        rng = np.random.default_rng(0)
+
+        class Holder(Module):
+            def __init__(self):
+                self.own = Parameter("own", np.zeros((1, 1)))
+                self.late = None
+                self.missing = None
+                self.ratio = 0.5
+                self.items = [Parameter("listed", np.zeros((1, 1))), None]
+                self.sub = Linear(2, 1, rng, "sub")
+
+        holder = Holder()
+        holder.late = Parameter("late", np.zeros((1, 1)))
+        assert [p.name for p in holder.parameters()] == [
+            "own", "late", "listed", "sub.w", "sub.b",
+        ]
 
 
 class TestGcnConv:

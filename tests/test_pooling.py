@@ -368,11 +368,22 @@ class TestLcPool:
         assert np.array_equal(sparse.to_dense(result.a),
                               np.ones((3, 3)) - np.eye(3))
 
-    def test_asymmetric_adjacency_rejected(self):
-        directed = CsrMatrix.from_coo(2, 2, [0], [1], [1.0])
-        with pytest.raises(ValueError, match="symmetric"):
-            lcpool(constant(np.eye(2)), directed, self._scorer(2), 1.0,
-                   single_graph_ids(2))
+    def test_directed_adjacency_gets_the_general_closure(self):
+        rng = np.random.default_rng(12)
+        scorer = self._scorer(2, seed=3)
+        conv = GcnConv(2, 2, rng, "v")
+        asymmetric = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 15))
+            a = sparse.from_dense(random_adjacency_dense(rng, n, p=0.35, directed=True))
+            asymmetric += not sparse.is_symmetric(a)
+            x = constant(rng.normal(size=(n, 2)))
+            closure = sparse.hop_closure(a, symmetric=False)
+            for result in (lcpool(x, a, scorer, 0.5, single_graph_ids(n)),
+                           lcpool_star(x, a, conv, scorer, 0.5, single_graph_ids(n))):
+                want = sparse.strip_diagonal(sparse.select_rows_cols(closure, result.kept))
+                assert sparse.equal(result.a, want)
+        assert asymmetric > 30
 
     def test_gradients_flow_through_gating(self):
         from graphpool.selfcheck import gradient_max_rel_err
