@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CsrMatrix, ones_pattern, row_extents, row_indices
+from .sparse import CsrMatrix, row_extents, row_indices
 
 SYNTHETIC_KINDS = ("cycles_vs_paths", "two_communities")
 
@@ -35,6 +35,13 @@ class Graph:
             raise ValueError("graphs carry no self-loops")
         if self.a.nnz and np.any(self.a.values != 1.0):
             raise ValueError("graph edges are unweighted")
+
+    @classmethod
+    def _unchecked(cls, num_nodes: int, x: np.ndarray, a: CsrMatrix, label: int) -> "Graph":
+        """A graph whose invariants the caller has established; no check runs."""
+        g = object.__new__(cls)
+        g.__dict__.update(num_nodes=num_nodes, x=x, a=a, label=label)
+        return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,13 +189,18 @@ def _line_error(path: str, row: int, message: str) -> ValueError:
 def _undirected_pattern(n: int, edges: np.ndarray) -> CsrMatrix:
     """The n x n 0/1 adjacency of an (E, 2) edge list taken both ways.
 
-    Self-loops are dropped; from_coo sums duplicates and only the pattern
-    is kept.
+    Self-loops are dropped and duplicates kept once: the sorted keys
+    ``row * n + col`` are the canonical entry order, so one sort and a
+    compare with each key's predecessor build the pattern. Endpoints must
+    lie in ``0 .. n - 1``.
     """
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    keep = rows != cols
-    return ones_pattern(CsrMatrix.from_coo(n, n, rows[keep], cols[keep], np.ones(keep.sum())))
+    keys = np.sort((rows * np.int64(n) + cols)[rows != cols])
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    return CsrMatrix(n, n, row_extents(keys // n, n), keys % n, np.ones(keys.size))
 
 
 def load_tudataset(root: str, name: str) -> Dataset:
@@ -202,6 +214,8 @@ def load_tudataset(root: str, name: str) -> Dataset:
     the load runs in time linear in graphs and edges (plus one edge sort).
     Malformed input raises ``ValueError`` naming the file and, where one
     line is at fault, its 1-based line number.
+    The files are checked once for the whole dataset, so the graphs are
+    built without ``Graph``'s per-graph re-check.
     """
     base = os.path.join(root, name)
     paths = {
@@ -270,14 +284,17 @@ def load_tudataset(root: str, name: str) -> Dataset:
     x_all = np.hstack(blocks) if blocks else np.ones((n_nodes, 1))
 
     # No edge crosses graphs, so the global adjacency is block-diagonal and
-    # each graph's rows are a contiguous slice of it.
+    # each graph's rows are a contiguous slice of it. Every invariant Graph
+    # checks holds already: counts.all() gives each graph a node, x_all is
+    # one-hot, finite attributes or ones, and the pattern has unit values and
+    # no self-loops.
     pattern = _undirected_pattern(n_nodes, edges)
     row_ptr, col_idx, ones = pattern.row_ptr, pattern.col_idx, pattern.values
     graphs = []
     for g, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         s, e = int(row_ptr[lo]), int(row_ptr[hi])
         a = CsrMatrix(hi - lo, hi - lo, row_ptr[lo : hi + 1] - s, col_idx[s:e] - lo, ones[s:e])
-        graphs.append(Graph(hi - lo, x_all[lo:hi], a, labels[g]))
+        graphs.append(Graph._unchecked(hi - lo, x_all[lo:hi], a, labels[g]))
     return Dataset(graphs, int(classes.size), int(x_all.shape[1]), name)
 
 

@@ -231,6 +231,8 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 def evaluate(model: Model, dataset: Dataset, batch_size: int) -> tuple[float, float]:
     """(accuracy, mean loss) over a dataset, without recording gradients."""
+    if len(dataset) == 0:
+        raise ValueError(f"cannot evaluate on an empty dataset ({dataset.name})")
     correct = 0
     loss_sum = 0.0
     for batch in _batches(dataset.graphs, batch_size):

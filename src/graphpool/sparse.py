@@ -73,8 +73,8 @@ class IndexSet:
 class CsrMatrix:
     """Canonical CSR matrix.  :meth:`from_coo` checks, sorts and sums any
     triplets; the constructor trusts arrays canonical by construction (from
-    ``empty``, ``identity``, ``transpose`` and the entry filter behind
-    ``select_cols``, ``select_rows_cols``, ``strip_diagonal``)."""
+    ``empty``, ``identity``, ``transpose``, ``add_self_loops`` and the entry
+    filter behind ``select_cols``, ``select_rows_cols``, ``strip_diagonal``)."""
 
     n_rows: int
     n_cols: int
@@ -192,13 +192,14 @@ def to_dense(a: CsrMatrix) -> np.ndarray:
 
 
 def from_dense(x, tol: float = 0.0) -> CsrMatrix:
-    """Entries with ``|v| <= tol`` are dropped."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    """Entries with ``|v| <= tol`` are dropped; any other, NaN included, is
+    kept, so a non-finite entry raises."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("dense input must be two-dimensional")
-    rows, cols = np.nonzero(np.abs(x) > tol)
+    rows, cols = np.nonzero(~(np.abs(x) <= tol))
     return CsrMatrix.from_coo(x.shape[0], x.shape[1], rows, cols, x[rows, cols])
 
 
@@ -316,10 +317,30 @@ def add(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
 
 
 def add_self_loops(a: CsrMatrix) -> CsrMatrix:
-    """a + I, the adjacency with self-loops."""
+    """a + I, the adjacency with self-loops, without a sort.
+
+    Row r's diagonal slot sits after its entries left of the diagonal. A
+    stored diagonal gains 1.0 and is dropped if that makes it exactly 0; a
+    missing one is inserted there as 1.0.
+    """
     if a.n_rows != a.n_cols:
         raise ValueError("self-loops require a square matrix")
-    return add(a, CsrMatrix.identity(a.n_rows))
+    n = a.n_rows
+    rows = row_indices(a)
+    on_diag = a.col_idx == rows
+    values = a.values.copy()
+    values[on_diag] += 1.0
+    missing = np.ones(n, dtype=bool)
+    missing[rows[on_diag]] = False
+    new = np.flatnonzero(missing)
+    slot = a.row_ptr[new] + np.bincount(rows[a.col_idx < rows], minlength=n)[new]
+    row_ptr = a.row_ptr.copy()
+    row_ptr[1:] += np.cumsum(missing)
+    cols = np.insert(a.col_idx, slot, new)
+    values = np.insert(values, slot, 1.0)
+    if values.all():
+        return CsrMatrix(n, n, row_ptr, cols, values)
+    return _keep_entries(row_ptr, cols, values, values != 0.0, n)
 
 
 def ones_pattern(a: CsrMatrix) -> CsrMatrix:

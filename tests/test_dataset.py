@@ -185,6 +185,30 @@ class TestLoader:
         for g in ds.graphs:
             sparse.validate(g.a)
 
+    def test_messy_fixture_passes_public_graph_checks(self, tmp_path):
+        # the loader builds graphs without Graph's checks; each must still pass them
+        root = write_fixture(tmp_path, "messy", {
+            "A": "1, 1\n1, 2\n1, 2\n2, 1\n2, 3\n7, 8\n9, 8\n9, 9\n8, 7\n",
+            "graph_indicator": "1\n1\n1\n1\n2\n2\n3\n3\n3\n",
+            "graph_labels": "4\n-1\n4\n",
+            "node_labels": "2\n0\n2\n5\n0\n0\n2\n5\n5\n",
+            "node_attributes": "".join(f"{i / 4}, {-i}\n" for i in range(9)),
+        })
+        ds = load_tudataset(root, "messy")
+        assert [g.num_nodes for g in ds.graphs] == [4, 2, 3]
+        assert [g.label for g in ds.graphs] == [1, 0, 1]
+        assert ds.feature_dim == 5
+        want = [
+            [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]],  # node 4 isolated
+            [[0, 0], [0, 0]],
+            [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+        ]
+        for g, dense in zip(ds.graphs, want):
+            sparse.validate(g.a)
+            assert np.array_equal(sparse.to_dense(g.a), dense)
+            rebuilt = Graph(g.num_nodes, g.x, g.a, g.label)
+            assert sparse.equal(rebuilt.a, g.a)
+
     def test_edge_order_does_not_matter(self, tmp_path):
         rng = np.random.default_rng(4)
         ds = make_synthetic("two_communities", 12, seed=4)
@@ -324,6 +348,23 @@ class TestBatch:
         a = CsrMatrix.from_coo(2, 2, [0, 1], [1, 0], [2.0, 2.0])
         with pytest.raises(ValueError):
             Graph(2, np.ones((2, 1)), a, 0)
+
+    def test_self_loop_rejected(self):
+        a = CsrMatrix.from_coo(2, 2, [0, 0, 1], [0, 1, 0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="graphs carry no self-loops"):
+            Graph(2, np.ones((2, 1)), a, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, bad):
+        x = np.ones((2, 2))
+        x[1, 0] = bad
+        with pytest.raises(ValueError, match="node features must be finite"):
+            Graph(2, x, CsrMatrix.empty(2, 2), 0)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3, 3), (1, 1)])
+    def test_adjacency_not_square_over_nodes_rejected(self, shape):
+        with pytest.raises(ValueError, match="adjacency must be square over the nodes"):
+            Graph(2, np.ones((2, 1)), CsrMatrix.empty(*shape), 0)
 
 
 class TestSplit:

@@ -1,6 +1,7 @@
 import json
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,6 +259,14 @@ class TestTraining:
             warnings.simplefilter("ignore")
             records = evaluate_suite([ModelConfig(pool="nopool", **TINY)], ds, 2, cfg)
         assert [r.run_seed for r in records] == [0, 1]
+
+    def test_evaluate_empty_dataset_rejected(self):
+        ds = tiny_dataset()
+        model = build_model(ModelConfig(pool="nopool", **TINY), ds.feature_dim,
+                            ds.num_classes, seed=0)
+        empty = replace(ds, graphs=[])
+        with pytest.raises(ValueError, match="empty dataset"):
+            harness.evaluate(model, empty, batch_size=4)
 
     def test_training_fingerprint_is_deterministic(self):
         # reading a buffer before it is written would make two runs differ

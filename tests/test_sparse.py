@@ -53,6 +53,17 @@ class TestConstruction:
         a = sparse.from_dense(np.array([[0.5, 2.0]]), tol=0.5)
         assert np.array_equal(sparse.to_dense(a), [[0.0, 2.0]])
 
+    def test_from_dense_nan_entry_rejected(self):
+        # |nan| > tol is False, so a NaN must not be mistaken for a dropped zero
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="matrix values must be finite"):
+                sparse.from_dense(np.array([[bad, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("tol", [-0.5, np.nan])
+    def test_from_dense_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol must be non-negative"):
+            sparse.from_dense(np.eye(2), tol=tol)
+
     def test_index_set_rejects_unsorted(self):
         with pytest.raises(ValueError):
             IndexSet([2, 1])
@@ -160,6 +171,20 @@ class TestSelfLoopsAndPattern:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             sparse.add_self_loops(CsrMatrix.empty(2, 3))
+
+    def test_matches_add_identity(self):
+        # the merged diagonal slot against the sorting route, cancelling diagonals included
+        rng = np.random.default_rng(7)
+        cancelled = 0
+        for _ in range(3000):
+            n = int(rng.integers(0, 12))
+            dense = rng.choice([-1.0, 0.5, 1.0, 2.0], size=(n, n)) * (rng.random((n, n)) < 0.4)
+            cancelled += int(np.any(np.diag(dense) == -1.0))
+            a = sparse.from_dense(dense)
+            got = sparse.add_self_loops(a)
+            sparse.validate(got)
+            assert sparse.equal(got, sparse.add(a, CsrMatrix.identity(n)))
+        assert cancelled > 100
 
     def test_ones_pattern_values(self):
         a = CsrMatrix.from_coo(2, 3, [0, 0, 1], [0, 2, 1], [2.5, -3.0, 7.0])
