@@ -154,7 +154,8 @@ def _cmd_train(args) -> int:
         models, dataset, opts["runs"], tcfg,
         progress=lambda r: print(
             f"  {r.model.backbone_label} {r.model.pool} seed {r.run_seed}: "
-            f"accuracy {r.test_accuracy:.4f} (best epoch {r.best_epoch}, {r.wall_time:.0f}s)"
+            f"accuracy {r.test_accuracy:.4f} (best epoch {r.best_epoch} of {r.epochs_run}, "
+            f"{r.wall_time:.0f}s)"
         ),
     )
     harness.save_records(records, out)

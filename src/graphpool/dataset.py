@@ -242,8 +242,8 @@ def load_tudataset(root: str, name: str) -> Dataset:
     raw_labels = _read_table(paths["graph_labels"], np.int64, 1)[:, 0]
     if raw_labels.size != n_graphs:
         raise ValueError(f"{paths['graph_labels']}: graph label count does not match the indicator")
-    classes = np.unique(raw_labels)
-    labels = np.searchsorted(classes, raw_labels).tolist()
+    classes, label_index = np.unique(raw_labels, return_inverse=True)
+    labels = label_index.tolist()
 
     bounds = row_extents(node_graph, n_graphs)
     counts = np.diff(bounds)
@@ -267,9 +267,9 @@ def load_tudataset(root: str, name: str) -> Dataset:
         if node_labels.size != n_nodes:
             raise ValueError(
                 f"{paths['node_labels']}: node label count does not match the indicator")
-        values = np.unique(node_labels)
+        values, index = np.unique(node_labels, return_inverse=True)
         onehot = np.zeros((n_nodes, values.size))
-        onehot[np.arange(n_nodes), np.searchsorted(values, node_labels)] = 1.0
+        onehot[np.arange(n_nodes), index] = 1.0
         blocks.append(onehot)
     if os.path.exists(paths["node_attributes"]):
         attrs = _read_table(paths["node_attributes"], np.float64)

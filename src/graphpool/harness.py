@@ -72,6 +72,7 @@ class RunRecord:
     test_accuracy: float
     best_epoch: int
     wall_time: float
+    epochs_run: int | None = None  # None in results saved before it was recorded
 
 
 class TrainingDiverged(RuntimeError):
@@ -305,6 +306,7 @@ def train(model: Model, splits: tuple[Dataset, Dataset, Dataset], cfg: TrainConf
         test_accuracy=test_acc,
         best_epoch=best_epoch,
         wall_time=time.perf_counter() - start,
+        epochs_run=epoch,
     )
 
 
@@ -396,6 +398,7 @@ def _record_from_dict(data: dict) -> RunRecord:
         test_accuracy=float(data["test_accuracy"]),
         best_epoch=int(data["best_epoch"]),
         wall_time=float(data["wall_time"]),
+        epochs_run=None if data.get("epochs_run") is None else int(data["epochs_run"]),
     )
 
 

@@ -171,6 +171,107 @@ def local_assignment_selection_pool(
                             lambda kept: rewire(s, a, kept))
 
 
+# local_cluster_selection_pool takes the block route when its padded
+# multiply-adds F are at most this many times the sparse route's expanded
+# products P (as _blocks_pay counts them), and the two spgemm otherwise.
+# On hierarchical lcpool stages the blocks were 2.5-150x faster up to
+# F/P = 53 and 2.6x or more slower from F/P = 717; every desk-scale stage
+# read F/P below 50, a stage-0 batch with a 620-node graph above 10,000.
+BLOCK_ROUTE_FACTOR = 256
+
+
+def _entry_rows(a: CsrMatrix, gid: np.ndarray) -> np.ndarray:
+    """Row id of each stored entry; ValueError names the first one whose
+    endpoints lie in different graphs."""
+    rows = sparse.row_indices(a)
+    cross = np.flatnonzero(gid[rows] != gid[a.col_idx])
+    if cross.size:
+        i, j = int(rows[cross[0]]), int(a.col_idx[cross[0]])
+        raise ValueError(f"adjacency entry ({i}, {j}) joins graphs {gid[i]} and {gid[j]}")
+    return rows
+
+
+def _closure_by_sparse(a: CsrMatrix, kept: IndexSet) -> CsrMatrix:
+    """Pooled closure pattern by :func:`rewire` over I + A: two spgemm."""
+    return sparse.strip_diagonal(
+        sparse.ones_pattern(rewire(sparse.add_self_loops(a), a, kept)))
+
+
+def _closure_by_blocks(a: CsrMatrix, kept: IndexSet, gid: np.ndarray) -> CsrMatrix:
+    """Pooled closure pattern from one padded stack of per-graph 0/1 blocks.
+
+    Graph g's block A_g sits in a (G, m, m) stack, m the largest graph, and
+    B_g = (I + A_g)[:, K_g] holds its kept columns, zero past its k_g of
+    k_max slots.  C_g = B_g^T A_g B_g is two batched matmuls.  Each entry
+    counts contributor paths, a sum of non-negative integers, so it is
+    non-zero exactly where the closure has an edge.  ``np.nonzero`` walks
+    C by (graph, row, column), and with the kept offsets added that is
+    canonical order already.  A must not join graphs.
+    """
+    n_graphs = int(gid[-1]) + 1
+    bounds = sparse.row_extents(gid, n_graphs)
+    m = int(np.diff(bounds).max())
+    kept_gid = gid[kept.indices]
+    kept_bounds = sparse.row_extents(kept_gid, n_graphs)
+    kept_counts = np.diff(kept_bounds)
+    k_max = int(kept_counts.max())
+    local = np.arange(gid.size) - bounds[gid]
+    blocks = np.zeros((n_graphs, m, m))
+    flat = (gid * m + local) * m
+    blocks.reshape(-1)[flat[sparse.row_indices(a)] + local[a.col_idx]] = 1.0
+    # slot j of graph g holds its j-th kept node; padded slots gather node 0
+    filled = np.arange(k_max) < kept_counts[:, None]
+    slot_node = np.zeros((n_graphs, k_max), dtype=np.int64)
+    slot_node[filled] = local[kept.indices]
+    graph = np.arange(n_graphs)[:, None]
+    b_t = blocks.transpose(0, 2, 1)[graph, slot_node]  # (G, k_max, m): B^T
+    b_t[graph, np.arange(k_max), slot_node] += 1.0
+    b_t[~filled] = 0.0
+    c = np.matmul(np.matmul(b_t, blocks), b_t.transpose(0, 2, 1))
+    diagonal = np.arange(k_max)
+    c[:, diagonal, diagonal] = 0.0
+    g, r, col = np.nonzero(c)
+    offset = kept_bounds[g]
+    n_kept = len(kept)
+    return CsrMatrix(n_kept, n_kept, sparse.row_extents(offset + r, n_kept),
+                     offset + col, np.ones(g.size))
+
+
+def _blocks_pay(a: CsrMatrix, rows: np.ndarray, kept: IndexSet, gid: np.ndarray) -> bool:
+    """F <= BLOCK_ROUTE_FACTOR * P for the pooled closure pattern.
+
+    F = G * k_max * m * (m + k_max) is the block route's multiply-adds.  P
+    is the sparse route's expanded products with S = I + A: exact for
+    S_K^T A, the sum over the entries (u, v) of S_K of deg(u), and for
+    (S_K^T A) S_K the bound that expands every one of those products
+    before they are merged.  The first term alone often settles the rule.
+    """
+    n = a.n_rows
+    bounds = sparse.row_extents(gid, int(gid[-1]) + 1)
+    m = int(np.diff(bounds).max())
+    k_max = int(np.bincount(gid[kept.indices]).max())
+    budget = (bounds.size - 1) * k_max * m * (m + k_max) / BLOCK_ROUTE_FACTOR
+    in_kept = np.zeros(n, dtype=bool)
+    in_kept[kept.indices] = True
+    contributor = rows[in_kept[a.col_idx]]  # u of each entry (u, v) of A in S_K
+    degree = np.diff(a.row_ptr)
+    first = degree[contributor].sum() + degree[kept.indices].sum()
+    if budget <= first:
+        return True
+    kept_per_row = np.bincount(contributor, minlength=n) + in_kept  # row lengths of S_K
+    reach = np.bincount(rows, weights=kept_per_row[a.col_idx], minlength=n)
+    second = reach[contributor].sum() + reach[kept.indices].sum()
+    return budget <= first + second
+
+
+def _closure_pattern(a: CsrMatrix, kept: IndexSet, graph_id) -> CsrMatrix:
+    gid = diff._segments(graph_id, a.n_rows)
+    rows = _entry_rows(a, gid)
+    if _blocks_pay(a, rows, kept, gid):
+        return _closure_by_blocks(a, kept, gid)
+    return _closure_by_sparse(a, kept)
+
+
 def local_cluster_selection_pool(
     x: Tensor, a: CsrMatrix, h: Tensor, ratio: float, graph_id
 ) -> PoolResult:
@@ -181,15 +282,18 @@ def local_cluster_selection_pool(
     cluster features already, gated by their score column h as they are.
     The pooled adjacency is the pattern of :func:`rewire` over I + A, which
     is the three-hop closure ``(I+A)^T A (I+A)`` on the kept nodes, directed
-    or not, with its self-loops stripped.  Requires unweighted edges.
+    or not, with its self-loops stripped.  Only that pattern leaves the
+    routine, so it takes one of two exact routes per call: per-graph dense
+    0/1 blocks, two batched matmuls over a (G, m, m) stack, when their
+    multiply-adds F are at most ``BLOCK_ROUTE_FACTOR`` (256) times the
+    expanded products P of the sparse route, and the two ``spgemm`` of
+    :func:`rewire` otherwise.  Requires unweighted edges, none of them
+    joining two graphs; an edge that does raises ValueError naming it.
     """
     if a.nnz and np.any(a.values != 1.0):
         raise ValueError("cluster selection requires unweighted edges")
-    return _select_and_gate(
-        x, h, graph_id, ratio,
-        lambda kept: sparse.strip_diagonal(
-            sparse.ones_pattern(rewire(sparse.add_self_loops(a), a, kept))),
-    )
+    return _select_and_gate(x, h, graph_id, ratio,
+                            lambda kept: _closure_pattern(a, kept, graph_id))
 
 
 def lcpool(x: Tensor, a: CsrMatrix, scorer: Lcsmp, ratio: float, graph_id) -> PoolResult:
@@ -198,6 +302,9 @@ def lcpool(x: Tensor, a: CsrMatrix, scorer: Lcsmp, ratio: float, graph_id) -> Po
     A 1-hop convolution ahead of the pool already plays the cluster role,
     so the raw features are gated by the score directly.  A directed
     adjacency gets the general closure ``(I+A)^T A (I+A)`` on the kept nodes.
+    Its pattern comes from per-graph dense 0/1 blocks or from two ``spgemm``,
+    whichever :func:`local_cluster_selection_pool`'s cost rule picks
+    (``BLOCK_ROUTE_FACTOR``); both give the same pattern.
     """
     return local_cluster_selection_pool(x, a, scorer(x, a, graph_id), ratio, graph_id)
 

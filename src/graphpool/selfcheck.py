@@ -107,10 +107,42 @@ def _dense_closure_pattern(ad: np.ndarray) -> np.ndarray:
     return (star.T @ ad @ star) != 0
 
 
-def check_closure_pattern(trials: int = 200, seed: int = 3) -> CheckResult:
-    """Three-hop closure and the pools' rewire vs the dense (I+A)^T A (I+A) oracle."""
+def _block_diagonal(blocks) -> np.ndarray:
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n), dtype=np.result_type(*blocks))
+    lo = 0
+    for b in blocks:
+        out[lo : lo + b.shape[0], lo : lo + b.shape[0]] = b
+        lo += b.shape[0]
+    return out
+
+
+def _check_block_route(trials) -> bool:
+    """The pool's block route on one batch of the trials' (A, K) pairs must
+    give a canonical matrix with the block diagonal of their oracle
+    patterns, diagonal stripped."""
+    sizes = np.array([ad.shape[0] for ad, _, _ in trials])
+    offsets = np.cumsum(sizes) - sizes
+    a = sparse.from_dense(_block_diagonal([ad for ad, _, _ in trials]))
+    kept = IndexSet(np.concatenate(
+        [idx.indices + lo for (_, idx, _), lo in zip(trials, offsets)]))
+    gid = np.repeat(np.arange(sizes.size), sizes)
+    got = pooling._closure_by_blocks(a, kept, gid)
+    try:
+        sparse.validate(got)
+    except ValueError:
+        return False
+    want = _block_diagonal([w for _, _, w in trials])
+    np.fill_diagonal(want, False)
+    return np.array_equal(sparse.to_dense(got) != 0, want)
+
+
+def check_closure_pattern(trials: int = 200, seed: int = 3, batch: int = 8) -> CheckResult:
+    """Three-hop closure and the pools' rewire vs the dense (I+A)^T A (I+A)
+    oracle; the pool's block route runs on batches of ``batch`` trials."""
     rng = np.random.default_rng(seed)
     for directed in (False, True):
+        pending = []
         for t in range(trials):
             n = int(rng.integers(1, 21))
             a = random_adjacency(rng, n, directed=directed)
@@ -134,9 +166,19 @@ def check_closure_pattern(trials: int = 200, seed: int = 3) -> CheckResult:
                     return CheckResult(
                         "closure-pattern", False, f"symmetric formulas differ, trial {t}"
                     )
+            pending.append((ad, idx, want))
+            if len(pending) == batch or t == trials - 1:
+                if not _check_block_route(pending):
+                    return CheckResult(
+                        "closure-pattern", False,
+                        f"pool block route, directed={directed} trials "
+                        f"{t + 1 - len(pending)}-{t}",
+                    )
+                pending = []
     return CheckResult(
         "closure-pattern", True,
-        f"{trials} undirected + {trials} directed graphs, closure and pool rewire",
+        f"{trials} undirected + {trials} directed graphs, closure, pool rewire "
+        f"and block route in batches of {batch}",
     )
 
 

@@ -214,6 +214,18 @@ class TestTraining:
         assert 1 <= rec.best_epoch <= cfg.max_epochs
         assert rec.dataset == ds.name and rec.run_seed == 0
 
+    def test_epochs_run_counts_the_epochs_trained(self):
+        ds = tiny_dataset(30)
+        parts = split(ds, harness.SPLIT_RATIOS, 0)
+        for cfg in (self._cfg(max_epochs=3, patience=50), self._cfg(max_epochs=30, patience=1)):
+            model = build_model(ModelConfig(pool="topk", **TINY), ds.feature_dim,
+                                ds.num_classes, seed=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rec = train(model, parts, cfg)
+            # the last improvement is best_epoch, so the run stops patience later
+            assert rec.epochs_run == min(cfg.max_epochs, rec.best_epoch + cfg.patience)
+
     def test_determinism_of_seeded_runs(self):
         ds = tiny_dataset(30)
         cfg = self._cfg(max_epochs=3)
@@ -324,6 +336,24 @@ class TestReporting:
             RunRecord(ModelConfig(backbone="plain", conv="graphconv", pool="topk"),
                       "demo", 1, 0.75, 5, 1.5),
         ]
+
+    def test_json_round_trip_keeps_epochs_run(self, tmp_path):
+        path = tmp_path / "records.json"
+        records = [replace(r, epochs_run=e) for r, e in zip(self._records(), (62, 5))]
+        save_records(records, path)
+        assert json.loads(path.read_text())["records"][0]["epochs_run"] == 62
+        assert load_records(path) == records
+
+    def test_record_saved_without_epochs_run_loads_as_none(self, tmp_path):
+        path = tmp_path / "records.json"
+        records = [replace(r, epochs_run=7) for r in self._records()]
+        save_records(records, path)
+        data = json.loads(path.read_text())
+        for rec in data["records"]:
+            del rec["epochs_run"]
+        path.write_text(json.dumps(data))
+        assert [r.epochs_run for r in load_records(path)] == [None, None]
+        assert load_records(path) == self._records()
 
     def test_empty_records_keep_headers(self):
         assert records_csv([]).splitlines() == [

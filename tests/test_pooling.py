@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import cycle, path4, random_adjacency_dense
-from graphpool import diff, sparse
-from graphpool.dataset import Graph, make_batch
+from graphpool import diff, pooling, sparse
+from graphpool.dataset import Graph, make_batch, make_synthetic
 from graphpool.diff import constant
 from graphpool.layers import GcnConv, Lcsmp
 from graphpool.pooling import (
@@ -337,6 +337,112 @@ class TestLocalClusterSelection:
             local_cluster_selection_pool(
                 constant(np.eye(2)), weighted,
                 fixed_score([1.0, 0.0]), 1.0, single_graph_ids(2))
+
+
+class TestClosureRoutes:
+    """The two routes to the pooled closure pattern, called directly."""
+
+    @staticmethod
+    def _stages(batch, ratio, seed, stages=3):
+        """(a, kept, graph_id) of each stage of a chain of pools on random scores."""
+        rng = np.random.default_rng(seed)
+        a, gid = batch.a, batch.graph_id
+        for _ in range(stages):
+            kept = topk(fixed_score(rng.normal(size=a.n_rows)), gid, ratio)
+            yield a, kept, gid
+            a, gid = pooling._closure_by_sparse(a, kept), gid[kept.indices]
+
+    def _assert_routes_agree(self, batch, ratio, seed):
+        for a, kept, gid in self._stages(batch, ratio, seed):
+            by_blocks = pooling._closure_by_blocks(a, kept, gid)
+            sparse.validate(by_blocks)
+            assert sparse.equal(by_blocks, pooling._closure_by_sparse(a, kept))
+
+    @staticmethod
+    def _random_graphs(rng, sizes, p, directed):
+        return [Graph(int(n), rng.normal(size=(int(n), 2)),
+                      sparse.from_dense(random_adjacency_dense(rng, int(n), p, directed)), 0)
+                for n in sizes]
+
+    @staticmethod
+    def _mixed_batch(rng):
+        """One 620-node and one 350-node ring-plus-chord graph and 30 desk graphs."""
+        graphs = []
+        for n in (620, 350):
+            ad = np.zeros((n, n), dtype=bool)
+            ring = np.arange(n)
+            ad[ring, (ring + 1) % n] = True
+            u, v = rng.integers(0, n, size=(2, n // 2))
+            ad[u, v] = True
+            ad |= ad.T
+            np.fill_diagonal(ad, False)
+            graphs.append(Graph(n, rng.normal(size=(n, 1)),
+                                sparse.from_dense(ad.astype(np.float64)), 0))
+        return make_batch(graphs + make_synthetic("two_communities", 30, seed=4).graphs)
+
+    @pytest.mark.parametrize("kind", ["two_communities", "cycles_vs_paths"])
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 1.0])
+    def test_desk_batches_agree_at_every_stage(self, kind, ratio):
+        data = make_synthetic(kind, 64, seed=3)
+        for lo in (0, 32):
+            self._assert_routes_agree(make_batch(data.graphs[lo : lo + 32]), ratio, lo)
+
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 1.0])
+    def test_directed_edgeless_and_single_node_graphs_agree(self, ratio):
+        rng = np.random.default_rng(14)
+        for trial in range(6):
+            sizes = rng.integers(1, 21, size=12)
+            sizes[:3] = 1
+            graphs = self._random_graphs(rng, sizes, 0.3, directed=True)
+            graphs += self._random_graphs(rng, [1, 7, 15], 0.0, directed=True)  # edgeless
+            graphs += self._random_graphs(rng, [9, 4], 0.5, directed=False)
+            order = rng.permutation(len(graphs))
+            self._assert_routes_agree(make_batch([graphs[i] for i in order]), ratio, trial)
+
+    def test_mixed_long_and_desk_batch_agrees(self):
+        self._assert_routes_agree(self._mixed_batch(np.random.default_rng(15)), 0.5, 0)
+
+    @staticmethod
+    def _routes_taken(monkeypatch, batch, stages):
+        taken = []
+
+        def recorded(name):
+            route = getattr(pooling, name)
+
+            def call(*args):
+                taken.append(name)
+                return route(*args)
+            return call
+
+        for name in ("_closure_by_sparse", "_closure_by_blocks"):
+            monkeypatch.setattr(pooling, name, recorded(name))
+        rng = np.random.default_rng(16)
+        x, a, gid = constant(batch.x), batch.a, batch.graph_id
+        for _ in range(stages):
+            result = local_cluster_selection_pool(
+                x, a, fixed_score(rng.normal(size=a.n_rows)), 0.5, gid)
+            x, a, gid = result.x, result.a, result.graph_id
+        return taken
+
+    @pytest.mark.parametrize("kind", ["two_communities", "cycles_vs_paths"])
+    def test_desk_batch_takes_the_blocks_at_every_stage(self, monkeypatch, kind):
+        batch = make_batch(make_synthetic(kind, 32, seed=5).graphs)
+        assert self._routes_taken(monkeypatch, batch, 3) == ["_closure_by_blocks"] * 3
+
+    def test_mixed_batch_takes_the_sparse_route_at_stage_zero(self, monkeypatch):
+        batch = self._mixed_batch(np.random.default_rng(15))
+        assert self._routes_taken(monkeypatch, batch, 1) == ["_closure_by_sparse"]
+
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_edge_joining_two_graphs_rejected_on_either_route(self, monkeypatch, blocks):
+        batch = make_batch([Graph(4, np.eye(4), path4(), 0), Graph(4, np.eye(4), path4(), 1)])
+        a = batch.a
+        joined = CsrMatrix.from_coo(8, 8, np.append(sparse.row_indices(a), 2),
+                                    np.append(a.col_idx, 5), np.ones(a.nnz + 1))
+        monkeypatch.setattr(pooling, "_blocks_pay", lambda *_: blocks)
+        with pytest.raises(ValueError, match=r"entry \(2, 5\) joins graphs 0 and 1"):
+            local_cluster_selection_pool(constant(batch.x), joined, fixed_score(np.arange(8.0)),
+                                         0.5, batch.graph_id)
 
 
 class TestLcPool:
