@@ -12,6 +12,7 @@ features ``S^T x`` it forms itself and so takes a score function
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,23 +173,42 @@ def local_assignment_selection_pool(
 
 
 # local_cluster_selection_pool takes the block route when its padded
-# multiply-adds F are at most this many times the sparse route's expanded
-# products P (as _blocks_pay counts them), and the two spgemm otherwise.
-# On hierarchical lcpool stages the blocks were 2.5-150x faster up to
-# F/P = 53 and 2.6x or more slower from F/P = 717; every desk-scale stage
-# read F/P below 50, a stage-0 batch with a 620-node graph above 10,000.
-BLOCK_ROUTE_FACTOR = 256
+# multiply-adds F are at most this many times P, the products the sparse
+# route expands in its first spgemm, and the two spgemm otherwise.  Picked
+# from twelve hierarchical lcpool stages on desk batches and on hand-built
+# batches of 300-620-node ring-plus-chord graphs: the blocks were faster on
+# every stage up to F/P = 625, the spgemm on every stage from F/P = 8,263.
+# Desk stages read F/P at most 161.  No benchmark workload reaches the
+# sparse side, so the constant is unverified there.
+BLOCK_ROUTE_FACTOR = 2048
 
 
-def _entry_rows(a: CsrMatrix, gid: np.ndarray) -> np.ndarray:
-    """Row id of each stored entry; ValueError names the first one whose
+class _Layout(NamedTuple):
+    """Where a stage's graphs and kept nodes lie, shared by the route rule
+    and the block route."""
+
+    gid: np.ndarray  # graph of each node
+    rows: np.ndarray  # row of each stored entry of A
+    bounds: np.ndarray  # node extents of each graph
+    kept_bounds: np.ndarray  # kept-node extents of each graph
+    m: int  # nodes of the largest graph
+    k_max: int  # most kept nodes in one graph
+
+
+def _layout(a: CsrMatrix, kept: IndexSet, graph_id) -> _Layout:
+    """The stage's layout; ValueError names the first entry of A whose
     endpoints lie in different graphs."""
+    gid = diff._segments(graph_id, a.n_rows)
     rows = sparse.row_indices(a)
     cross = np.flatnonzero(gid[rows] != gid[a.col_idx])
     if cross.size:
         i, j = int(rows[cross[0]]), int(a.col_idx[cross[0]])
         raise ValueError(f"adjacency entry ({i}, {j}) joins graphs {gid[i]} and {gid[j]}")
-    return rows
+    n_graphs = int(gid[-1]) + 1
+    bounds = sparse.row_extents(gid, n_graphs)
+    kept_bounds = sparse.row_extents(gid[kept.indices], n_graphs)
+    return _Layout(gid, rows, bounds, kept_bounds,
+                   int(np.diff(bounds).max()), int(np.diff(kept_bounds).max()))
 
 
 def _closure_by_sparse(a: CsrMatrix, kept: IndexSet) -> CsrMatrix:
@@ -197,7 +217,7 @@ def _closure_by_sparse(a: CsrMatrix, kept: IndexSet) -> CsrMatrix:
         sparse.ones_pattern(rewire(sparse.add_self_loops(a), a, kept)))
 
 
-def _closure_by_blocks(a: CsrMatrix, kept: IndexSet, gid: np.ndarray) -> CsrMatrix:
+def _closure_by_blocks(a: CsrMatrix, kept: IndexSet, layout: _Layout) -> CsrMatrix:
     """Pooled closure pattern from one padded stack of per-graph 0/1 blocks.
 
     Graph g's block A_g sits in a (G, m, m) stack, m the largest graph, and
@@ -206,19 +226,15 @@ def _closure_by_blocks(a: CsrMatrix, kept: IndexSet, gid: np.ndarray) -> CsrMatr
     counts contributor paths, a sum of non-negative integers, so it is
     non-zero exactly where the closure has an edge.  ``np.nonzero`` walks
     C by (graph, row, column), and with the kept offsets added that is
-    canonical order already.  A must not join graphs.
+    canonical order already.
     """
-    n_graphs = int(gid[-1]) + 1
-    bounds = sparse.row_extents(gid, n_graphs)
-    m = int(np.diff(bounds).max())
-    kept_gid = gid[kept.indices]
-    kept_bounds = sparse.row_extents(kept_gid, n_graphs)
-    kept_counts = np.diff(kept_bounds)
-    k_max = int(kept_counts.max())
-    local = np.arange(gid.size) - bounds[gid]
+    gid, m, k_max = layout.gid, layout.m, layout.k_max
+    n_graphs = layout.bounds.size - 1
+    kept_counts = np.diff(layout.kept_bounds)
+    local = np.arange(gid.size) - layout.bounds[gid]
     blocks = np.zeros((n_graphs, m, m))
     flat = (gid * m + local) * m
-    blocks.reshape(-1)[flat[sparse.row_indices(a)] + local[a.col_idx]] = 1.0
+    blocks.reshape(-1)[flat[layout.rows] + local[a.col_idx]] = 1.0
     # slot j of graph g holds its j-th kept node; padded slots gather node 0
     filled = np.arange(k_max) < kept_counts[:, None]
     slot_node = np.zeros((n_graphs, k_max), dtype=np.int64)
@@ -231,44 +247,31 @@ def _closure_by_blocks(a: CsrMatrix, kept: IndexSet, gid: np.ndarray) -> CsrMatr
     diagonal = np.arange(k_max)
     c[:, diagonal, diagonal] = 0.0
     g, r, col = np.nonzero(c)
-    offset = kept_bounds[g]
+    offset = layout.kept_bounds[g]
     n_kept = len(kept)
     return CsrMatrix(n_kept, n_kept, sparse.row_extents(offset + r, n_kept),
                      offset + col, np.ones(g.size))
 
 
-def _blocks_pay(a: CsrMatrix, rows: np.ndarray, kept: IndexSet, gid: np.ndarray) -> bool:
+def _blocks_pay(a: CsrMatrix, kept: IndexSet, layout: _Layout) -> bool:
     """F <= BLOCK_ROUTE_FACTOR * P for the pooled closure pattern.
 
     F = G * k_max * m * (m + k_max) is the block route's multiply-adds.  P
-    is the sparse route's expanded products with S = I + A: exact for
-    S_K^T A, the sum over the entries (u, v) of S_K of deg(u), and for
-    (S_K^T A) S_K the bound that expands every one of those products
-    before they are merged.  The first term alone often settles the rule.
+    is the products the sparse route expands in S_K^T A, S = I + A: deg(u)
+    summed over the entries (u, v) of S_K.
     """
-    n = a.n_rows
-    bounds = sparse.row_extents(gid, int(gid[-1]) + 1)
-    m = int(np.diff(bounds).max())
-    k_max = int(np.bincount(gid[kept.indices]).max())
-    budget = (bounds.size - 1) * k_max * m * (m + k_max) / BLOCK_ROUTE_FACTOR
-    in_kept = np.zeros(n, dtype=bool)
+    in_kept = np.zeros(a.n_rows, dtype=bool)
     in_kept[kept.indices] = True
-    contributor = rows[in_kept[a.col_idx]]  # u of each entry (u, v) of A in S_K
     degree = np.diff(a.row_ptr)
-    first = degree[contributor].sum() + degree[kept.indices].sum()
-    if budget <= first:
-        return True
-    kept_per_row = np.bincount(contributor, minlength=n) + in_kept  # row lengths of S_K
-    reach = np.bincount(rows, weights=kept_per_row[a.col_idx], minlength=n)
-    second = reach[contributor].sum() + reach[kept.indices].sum()
-    return budget <= first + second
+    p = int(degree[layout.rows[in_kept[a.col_idx]]].sum() + degree[kept.indices].sum())
+    m, k_max = layout.m, layout.k_max
+    return (layout.bounds.size - 1) * k_max * m * (m + k_max) <= BLOCK_ROUTE_FACTOR * p
 
 
 def _closure_pattern(a: CsrMatrix, kept: IndexSet, graph_id) -> CsrMatrix:
-    gid = diff._segments(graph_id, a.n_rows)
-    rows = _entry_rows(a, gid)
-    if _blocks_pay(a, rows, kept, gid):
-        return _closure_by_blocks(a, kept, gid)
+    layout = _layout(a, kept, graph_id)
+    if _blocks_pay(a, kept, layout):
+        return _closure_by_blocks(a, kept, layout)
     return _closure_by_sparse(a, kept)
 
 
@@ -285,9 +288,11 @@ def local_cluster_selection_pool(
     or not, with its self-loops stripped.  Only that pattern leaves the
     routine, so it takes one of two exact routes per call: per-graph dense
     0/1 blocks, two batched matmuls over a (G, m, m) stack, when their
-    multiply-adds F are at most ``BLOCK_ROUTE_FACTOR`` (256) times the
-    expanded products P of the sparse route, and the two ``spgemm`` of
-    :func:`rewire` otherwise.  Requires unweighted edges, none of them
+    multiply-adds F are at most ``BLOCK_ROUTE_FACTOR`` (2048) times the
+    products P that the sparse route expands in its first ``spgemm``, and
+    the two ``spgemm`` of :func:`rewire` otherwise.  Desk-scale stages
+    take the blocks; the constant's sparse side is unverified by the
+    benchmark.  Requires unweighted edges, none of them
     joining two graphs; an edge that does raises ValueError naming it.
     """
     if a.nnz and np.any(a.values != 1.0):

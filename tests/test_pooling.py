@@ -354,7 +354,7 @@ class TestClosureRoutes:
 
     def _assert_routes_agree(self, batch, ratio, seed):
         for a, kept, gid in self._stages(batch, ratio, seed):
-            by_blocks = pooling._closure_by_blocks(a, kept, gid)
+            by_blocks = pooling._closure_by_blocks(a, kept, pooling._layout(a, kept, gid))
             sparse.validate(by_blocks)
             assert sparse.equal(by_blocks, pooling._closure_by_sparse(a, kept))
 
