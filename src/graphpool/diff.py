@@ -137,13 +137,21 @@ def constant(values) -> Tensor:
     return t
 
 
-def _segments(segment_id, n_rows: int) -> np.ndarray:
+def segment_bounds(segment_id, n_rows: int) -> np.ndarray:
+    """Row extents of segments 0 .. last id, given one sorted segment id per
+    row; every segment must have rows."""
     seg = np.asarray(segment_id, dtype=np.int64)
     if seg.shape != (n_rows,):
         raise ValueError("segment ids must align with tensor rows")
-    if seg.size and (seg[0] < 0 or np.any(np.diff(seg) < 0)):
+    if seg.size == 0:
+        raise ValueError("segment ids are empty")
+    if seg[0] < 0 or np.any(np.diff(seg) < 0):
         raise ValueError("segment ids must be non-negative and non-decreasing")
-    return seg
+    bounds = sparse.row_extents(seg, int(seg[-1]) + 1)
+    missing = np.flatnonzero(np.diff(bounds) == 0)
+    if missing.size:
+        raise ValueError(f"segment {missing[0]} has no rows")
+    return bounds
 
 
 def _index_sum(block: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
@@ -202,19 +210,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def rule(g):
         _accumulate(a, g)
         _accumulate(b, g)
-
-    return _record(out, rule)
-
-
-def add_bias(t: Tensor, bias: Tensor) -> Tensor:
-    """Add a 1 x cols bias row to every row of t."""
-    if bias.shape != (1, t.cols):
-        raise ValueError(f"bias shape {bias.shape} does not match {t.shape}")
-    out = Tensor(t.values + bias.values)
-
-    def rule(g):
-        _accumulate(t, g)
-        _accumulate(bias, g.sum(axis=0, keepdims=True))
 
     return _record(out, rule)
 
@@ -348,16 +343,18 @@ def spmm_const(a: CsrMatrix, x: Tensor) -> Tensor:
     return _record(out, rule)
 
 
-def edge_relu_sum(q: Tensor, p: Tensor, a: CsrMatrix) -> Tensor:
-    """Row i is the sum of relu(q[i] - p[k]) over the stored entries (i, k) of a.
+def edge_relu_sum(p: Tensor, bias: Tensor, a: CsrMatrix) -> Tensor:
+    """Row i is the sum of relu(p[i] + bias - p[k]) over the stored entries
+    (i, k) of the square a; bias is a 1 x cols row.
 
-    Only a's pattern is read.  One nnz x width difference array is built and
-    each row is summed in stored order (see :func:`sparse.row_sums`).
+    Only a's pattern is read.  The bias is added to the node rows, then one
+    nnz x width difference array is built and each row is summed in stored
+    order (see :func:`sparse.row_sums`).
     """
-    if q.rows != a.n_rows or p.rows != a.n_cols or q.cols != p.cols:
-        raise ValueError(f"edge_relu_sum shape mismatch: {q.shape}, {p.shape} on {a.shape}")
+    if p.rows != a.n_rows or p.rows != a.n_cols or bias.shape != (1, p.cols):
+        raise ValueError(f"edge_relu_sum shape mismatch: {p.shape}, {bias.shape} on {a.shape}")
     rows = sparse.row_indices(a)
-    diffs = q.values[rows]
+    diffs = (p.values + bias.values)[rows]
     diffs -= p.values[a.col_idx]
     mask = diffs > 0
     np.maximum(diffs, 0.0, out=diffs)
@@ -366,9 +363,10 @@ def edge_relu_sum(q: Tensor, p: Tensor, a: CsrMatrix) -> Tensor:
     def rule(g):
         g_edge = g[rows]
         g_edge *= mask
-        _accumulate(q, sparse.row_sums(a.row_ptr, g_edge))
+        g_q = sparse.row_sums(a.row_ptr, g_edge)
         g_p = _index_sum(g_edge, a.col_idx, a.n_cols)
-        _accumulate(p, np.negative(g_p, out=g_p))
+        _accumulate(p, np.subtract(g_q, g_p, out=g_p))
+        _accumulate(bias, g_q.sum(axis=0, keepdims=True))
 
     return _record(out, rule)
 
@@ -377,9 +375,8 @@ def segment_softmax(t: Tensor, segment_id) -> Tensor:
     """Softmax over the rows of each segment of a column vector."""
     if t.cols != 1:
         raise ValueError("segment_softmax expects a column vector")
-    seg = _segments(segment_id, t.rows)
     x = t.values[:, 0]
-    bounds = _segment_bounds(seg)
+    bounds = segment_bounds(segment_id, t.rows)
     starts, counts = bounds[:-1], np.diff(bounds)
     m = np.repeat(np.maximum.reduceat(x, starts), counts)
     e = np.exp(x - m)
@@ -395,33 +392,19 @@ def segment_softmax(t: Tensor, segment_id) -> Tensor:
     return _record(out, rule)
 
 
-def _segment_bounds(seg: np.ndarray) -> np.ndarray:
-    """Row extents of segments 0 .. last id, each of which must have rows."""
-    if seg.size == 0:
-        raise ValueError("segment ids are empty")
-    bounds = sparse.row_extents(seg, int(seg[-1]) + 1)
-    counts = np.diff(bounds)
-    if np.any(counts == 0):
-        missing = int(np.nonzero(counts == 0)[0][0])
-        raise ValueError(f"segment {missing} has no rows")
-    return bounds
-
-
 def segment_mean(x: Tensor, segment_id) -> Tensor:
-    seg = _segments(segment_id, x.rows)
-    bounds = _segment_bounds(seg)
-    counts = np.diff(bounds).astype(np.float64)
+    bounds = segment_bounds(segment_id, x.rows)
+    counts = np.diff(bounds)
     out = Tensor(sparse.row_sums(bounds, x.values) / counts[:, None])
 
     def rule(g):
-        _accumulate(x, g[seg] / counts[seg][:, None])
+        _accumulate(x, np.repeat(g / counts[:, None], counts, axis=0))
 
     return _record(out, rule)
 
 
 def segment_max(x: Tensor, segment_id) -> Tensor:
-    seg = _segments(segment_id, x.rows)
-    bounds = _segment_bounds(seg)
+    bounds = segment_bounds(segment_id, x.rows)
     n = bounds.size - 1
     vals = np.empty((n, x.cols))
     argrows = np.empty((n, x.cols), dtype=np.int64)
@@ -444,7 +427,7 @@ def segment_max(x: Tensor, segment_id) -> Tensor:
     return _record(out, rule)
 
 
-def _segment_products(s: np.ndarray, y: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+def segment_products(s: np.ndarray, y: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """The (G, k, width) stack of s[rows].T @ y[rows], one BLAS product per
     segment of the row extents bounds."""
     out = np.empty((bounds.size - 1, s.shape[1], y.shape[1]))
@@ -464,9 +447,9 @@ def assignment_reduce(s: Tensor, x: Tensor, segment_id) -> Tensor:
     if s.rows != x.rows:
         raise ValueError("assignment and features must have equal rows")
     k = s.cols
-    bounds = _segment_bounds(_segments(segment_id, x.rows))
+    bounds = segment_bounds(segment_id, x.rows)
     n = bounds.size - 1
-    out = Tensor(_segment_products(s.values, x.values, bounds).reshape(n * k, x.cols))
+    out = Tensor(segment_products(s.values, x.values, bounds).reshape(n * k, x.cols))
 
     def rule(g):
         g_s, g_x = np.empty_like(s.values), np.empty_like(x.values)
@@ -505,17 +488,16 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction over a list of Parameters."""
+    """Adam with bias correction over a list of Parameters, with the usual
+    betas (0.9, 0.999) and eps 1e-8."""
 
-    def __init__(self, params, lr=0.0005, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr=0.0005):
         params = list(params)
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
         self.params = params
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self._m = [np.zeros_like(p.tensor.values) for p in params]
         self._v = [np.zeros_like(p.tensor.values) for p in params]
         self._t = 0
@@ -526,7 +508,7 @@ class Adam:
 
     def step(self) -> None:
         self._t += 1
-        b1, b2 = self.betas
+        b1, b2 = 0.9, 0.999
         c1 = 1.0 - b1**self._t
         c2 = 1.0 - b2**self._t
         for p, m, v in zip(self.params, self._m, self._v):
@@ -537,7 +519,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.tensor.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.tensor.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
 
 def snapshot(params) -> dict[str, np.ndarray]:

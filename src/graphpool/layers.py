@@ -128,11 +128,11 @@ class Lcsmp(Module):
     node.  The softmax over each graph's nodes is applied by __call__; it
     ignores a shift of all scores, so L_s has no bias.
 
-    L_d is affine, so relu(L_d(x_i - x_k)) = relu(Q_i - P_k) with the node
-    projection P = X W_d^T and Q = P + b_d: the widest matmul runs on the
-    node rows, not the edge rows, and :func:`diff.edge_relu_sum` forms and
-    sums the edge differences.  Values differ from the literal per-edge
-    composition only by float reassociation.
+    L_d is affine, so relu(L_d(x_i - x_k)) = relu(P_i + b_d - P_k) with the
+    node projection P = X W_d^T: the widest matmul runs on the node rows,
+    not the edge rows, and :func:`diff.edge_relu_sum` adds b_d, forms and
+    sums the edge differences as one tape entry.  Values differ from the
+    literal per-edge composition only by float reassociation.
     """
 
     def __init__(self, in_dim: int, rng, name: str, hidden: int | None = None):
@@ -144,8 +144,7 @@ class Lcsmp(Module):
 
     def pre_softmax(self, x: Tensor, a: CsrMatrix) -> Tensor:
         p = diff.linear(x, self.l_diff.weight.tensor)
-        q = diff.add_bias(p, self.l_diff.bias.tensor)
-        agg = diff.edge_relu_sum(q, p, a)
+        agg = diff.edge_relu_sum(p, self.l_diff.bias.tensor, a)
         hidden = diff.add(diff.relu(self.l_agg(agg)), diff.relu(self.l_self(x)))
         return self.l_score(hidden)
 

@@ -59,8 +59,8 @@ def topk(h: Tensor, graph_id, ratio: float) -> IndexSet:
     """
     if h.cols != 1:
         raise ValueError("scores must be one column")
-    gid = diff._segments(graph_id, h.rows)
-    bounds = diff._segment_bounds(gid)
+    gid = np.asarray(graph_id, dtype=np.int64)
+    bounds = diff.segment_bounds(gid, h.rows)
     k = kept_count(ratio, np.diff(bounds))
     order = np.lexsort((-h.values[:, 0], gid))  # stable: ties keep low index
     rank = np.arange(gid.size) - bounds[gid]  # gid is sorted, so gid[order] == gid
@@ -106,12 +106,11 @@ def dense_assignment_pool(x: Tensor, a: CsrMatrix, s: Tensor, graph_id) -> PoolR
     k = s.cols
     if k < 1:
         raise ValueError("need at least one cluster")
-    gid = diff._segments(graph_id, x.rows)
-    bounds = diff._segment_bounds(gid)
+    bounds = diff.segment_bounds(graph_id, x.rows)
     n_graphs = bounds.size - 1
     n_pooled = n_graphs * k
-    pooled_x = diff.assignment_reduce(s, x, gid)
-    blocks = diff._segment_products(s.values, sparse.spmm(a, s.values), bounds)
+    pooled_x = diff.assignment_reduce(s, x, graph_id)
+    blocks = diff.segment_products(s.values, sparse.spmm(a, s.values), bounds)
     diagonal = np.arange(k)
     blocks[:, diagonal, diagonal] = 0.0
     blocks = blocks.reshape(n_pooled, k)
@@ -198,15 +197,14 @@ class _Layout(NamedTuple):
 def _layout(a: CsrMatrix, kept: IndexSet, graph_id) -> _Layout:
     """The stage's layout; ValueError names the first entry of A whose
     endpoints lie in different graphs."""
-    gid = diff._segments(graph_id, a.n_rows)
+    gid = np.asarray(graph_id, dtype=np.int64)
+    bounds = diff.segment_bounds(gid, a.n_rows)
     rows = sparse.row_indices(a)
     cross = np.flatnonzero(gid[rows] != gid[a.col_idx])
     if cross.size:
         i, j = int(rows[cross[0]]), int(a.col_idx[cross[0]])
         raise ValueError(f"adjacency entry ({i}, {j}) joins graphs {gid[i]} and {gid[j]}")
-    n_graphs = int(gid[-1]) + 1
-    bounds = sparse.row_extents(gid, n_graphs)
-    kept_bounds = sparse.row_extents(gid[kept.indices], n_graphs)
+    kept_bounds = sparse.row_extents(gid[kept.indices], bounds.size - 1)
     return _Layout(gid, rows, bounds, kept_bounds,
                    int(np.diff(bounds).max()), int(np.diff(kept_bounds).max()))
 
@@ -305,11 +303,8 @@ def lcpool(x: Tensor, a: CsrMatrix, scorer: Lcsmp, ratio: float, graph_id) -> Po
     """Local cluster pooling: the cluster step is dismissed entirely.
 
     A 1-hop convolution ahead of the pool already plays the cluster role,
-    so the raw features are gated by the score directly.  A directed
-    adjacency gets the general closure ``(I+A)^T A (I+A)`` on the kept nodes.
-    Its pattern comes from per-graph dense 0/1 blocks or from two ``spgemm``,
-    whichever :func:`local_cluster_selection_pool`'s cost rule picks
-    (``BLOCK_ROUTE_FACTOR``); both give the same pattern.
+    so the raw features are gated by the score directly.  The pooled
+    adjacency is formed as :func:`local_cluster_selection_pool` states.
     """
     return local_cluster_selection_pool(x, a, scorer(x, a, graph_id), ratio, graph_id)
 
@@ -320,8 +315,8 @@ def lcpool_star(
     """Variant with an explicit extra convolution as the cluster function.
 
     The convolved features are both scored and gated; the pooled adjacency
-    is the same closure pattern as :func:`lcpool` for the same kept set,
-    the general ``(I+A)^T A (I+A)`` one for a directed adjacency.
+    is formed as :func:`local_cluster_selection_pool` states, the same as
+    :func:`lcpool`'s for the same kept set.
     """
     c = cluster_conv(x, a)
     return local_cluster_selection_pool(c, a, scorer(c, a, graph_id), ratio, graph_id)

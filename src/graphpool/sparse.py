@@ -191,15 +191,13 @@ def to_dense(a: CsrMatrix) -> np.ndarray:
     return out
 
 
-def from_dense(x, tol: float = 0.0) -> CsrMatrix:
-    """Entries with ``|v| <= tol`` are dropped; any other, NaN included, is
-    kept, so a non-finite entry raises."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be non-negative, got {tol}")
+def from_dense(x) -> CsrMatrix:
+    """Exact zeros are dropped; any other entry, NaN included, is kept, so
+    a non-finite entry raises."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("dense input must be two-dimensional")
-    rows, cols = np.nonzero(~(np.abs(x) <= tol))
+    rows, cols = np.nonzero(x)
     return CsrMatrix.from_coo(x.shape[0], x.shape[1], rows, cols, x[rows, cols])
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import path4
-from graphpool import diff, harness, selfcheck
+from graphpool import diff, harness, pooling, selfcheck
 from graphpool.diff import (
     Adam,
     Parameter,
@@ -62,6 +62,9 @@ class TestForwardValues:
     @pytest.mark.parametrize("op", [
         diff.segment_softmax, diff.segment_mean, diff.segment_max,
         pytest.param(lambda t, seg: diff.assignment_reduce(t, t, seg), id="assignment_reduce"),
+        pytest.param(lambda t, seg: pooling.topk(t, seg, 0.5), id="topk"),
+        pytest.param(lambda t, seg: pooling.dense_assignment_pool(t, CsrMatrix.empty(3, 3), t, seg),
+                     id="dense_assignment_pool"),
     ], ids=lambda op: op.__name__)
     def test_segment_softmax_rejects_a_gap(self, op):
         # segment 1 has no rows, which every segment op rejects
@@ -344,14 +347,14 @@ class TestLinear:
 class TestAdamAndCheckpoints:
     def _train_steps(self, seed, steps=20):
         rng = np.random.default_rng(seed)
-        w = Parameter("w", rng.normal(size=(3, 2)))
+        w = Parameter("w", rng.normal(size=(2, 3)))
         b = Parameter("b", np.zeros((1, 2)))
         x = constant(rng.normal(size=(8, 3)))
         labels = rng.integers(0, 2, size=8)
         opt = Adam([w, b], lr=0.01)
         for _ in range(steps):
             with Tape():
-                logits = diff.add_bias(diff.matmul(x, w.tensor), b.tensor)
+                logits = diff.linear(x, w.tensor, b.tensor)
                 loss = cross_entropy(logits, labels)
             opt.zero_grad()
             backward(loss)

@@ -383,3 +383,5 @@ class TestTapeEntriesPerLayer:
         w = Parameter("w", rng.normal(size=(1, 3)))
         assert self._entries(lambda: laplacian_score(x, a, w)) == 2
         assert self._entries(lambda: Mlp([3, 5, 4, 2], rng, "m")(x)) == 5
+        graph_id = np.zeros(4, dtype=np.int64)
+        assert self._entries(lambda: Lcsmp(3, rng, "s")(x, a, graph_id)) == 9

@@ -39,7 +39,7 @@ class TestConstruction:
 
     def test_round_trip_dense(self):
         a = path4()
-        assert sparse.equal(sparse.from_dense(sparse.to_dense(a), 0.0), a)
+        assert sparse.equal(sparse.from_dense(sparse.to_dense(a)), a)
 
     def test_from_dense_zero_is_empty(self):
         assert from_dense(np.zeros((3, 2))).nnz == 0
@@ -49,20 +49,11 @@ class TestConstruction:
         assert a.nnz == 1
         assert sparse.to_dense(a)[0, 1] == 2.0
 
-    def test_from_dense_tolerance(self):
-        a = sparse.from_dense(np.array([[0.5, 2.0]]), tol=0.5)
-        assert np.array_equal(sparse.to_dense(a), [[0.0, 2.0]])
-
     def test_from_dense_nan_entry_rejected(self):
         # |nan| > tol is False, so a NaN must not be mistaken for a dropped zero
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="matrix values must be finite"):
                 sparse.from_dense(np.array([[bad, 1.0], [0.0, 0.0]]))
-
-    @pytest.mark.parametrize("tol", [-0.5, np.nan])
-    def test_from_dense_rejects_bad_tolerance(self, tol):
-        with pytest.raises(ValueError, match="tol must be non-negative"):
-            sparse.from_dense(np.eye(2), tol=tol)
 
     def test_index_set_rejects_unsorted(self):
         with pytest.raises(ValueError):
