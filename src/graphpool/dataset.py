@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .layers import Stage
 from .sparse import CsrMatrix, row_extents, row_indices
 
 SYNTHETIC_KINDS = ("cycles_vs_paths", "two_communities")
@@ -60,21 +61,19 @@ class Dataset:
 
 
 @dataclass(frozen=True, eq=False)
-class GraphBatch:
-    """Block-diagonal stack of graphs with per-node graph ids."""
+class GraphBatch(Stage):
+    """Graphs stacked as a model's first stage, with features and labels."""
 
     x: np.ndarray
-    a: CsrMatrix
-    graph_id: np.ndarray
     labels: np.ndarray
-    graph_count: int
 
 
 def make_batch(graphs: list[Graph]) -> GraphBatch:
     """Stack graphs into one block-diagonal batch.
 
     Each graph's CSR arrays are canonical, so offsetting and concatenating
-    them gives the canonical batch adjacency without a sort.
+    them gives the canonical batch adjacency without a sort; the graph
+    extents are the running node counts, so no partition check runs.
     """
     if not graphs:
         raise ValueError("cannot batch zero graphs")
@@ -83,18 +82,19 @@ def make_batch(graphs: list[Graph]) -> GraphBatch:
         raise ValueError(f"feature dimensions differ across graphs: {sorted(dims)}")
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     nnzs = np.array([g.a.nnz for g in graphs], dtype=np.int64)
-    node_off = np.cumsum(sizes) - sizes
+    bounds = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
     edge_off = np.cumsum(nnzs) - nnzs
-    row_ptr = np.zeros(int(sizes.sum()) + 1, dtype=np.int64)
+    total = int(bounds[-1])
+    row_ptr = np.zeros(total + 1, dtype=np.int64)
     row_ptr[1:] = np.concatenate([g.a.row_ptr[1:] for g in graphs]) + np.repeat(edge_off, sizes)
-    col_idx = np.concatenate([g.a.col_idx for g in graphs]) + np.repeat(node_off, nnzs)
-    total = row_ptr.size - 1
+    col_idx = np.concatenate([g.a.col_idx for g in graphs]) + np.repeat(bounds[:-1], nnzs)
     return GraphBatch(
-        x=np.vstack([g.x for g in graphs]),
         a=CsrMatrix(total, total, row_ptr, col_idx, np.ones(col_idx.size)),
         graph_id=np.repeat(np.arange(len(graphs), dtype=np.int64), sizes),
+        bounds=bounds,
+        x=np.vstack([g.x for g in graphs]),
         labels=np.array([g.label for g in graphs], dtype=np.int64),
-        graph_count=len(graphs),
     )
 
 

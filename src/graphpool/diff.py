@@ -137,20 +137,12 @@ def constant(values) -> Tensor:
     return t
 
 
-def segment_bounds(segment_id, n_rows: int) -> np.ndarray:
-    """Row extents of segments 0 .. last id, given one sorted segment id per
-    row; every segment must have rows."""
-    seg = np.asarray(segment_id, dtype=np.int64)
-    if seg.shape != (n_rows,):
-        raise ValueError("segment ids must align with tensor rows")
-    if seg.size == 0:
-        raise ValueError("segment ids are empty")
-    if seg[0] < 0 or np.any(np.diff(seg) < 0):
-        raise ValueError("segment ids must be non-negative and non-decreasing")
-    bounds = sparse.row_extents(seg, int(seg[-1]) + 1)
-    missing = np.flatnonzero(np.diff(bounds) == 0)
-    if missing.size:
-        raise ValueError(f"segment {missing[0]} has no rows")
+def _segment_extents(bounds, n_rows: int) -> np.ndarray:
+    """Segment g's rows are bounds[g] .. bounds[g + 1] - 1.  The extents come
+    from a :class:`layers.Stage`, checked when made, so only their end is."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if bounds[-1] != n_rows:
+        raise ValueError(f"segment extents end at row {bounds[-1]}, not at the {n_rows} rows")
     return bounds
 
 
@@ -371,12 +363,12 @@ def edge_relu_sum(p: Tensor, bias: Tensor, a: CsrMatrix) -> Tensor:
     return _record(out, rule)
 
 
-def segment_softmax(t: Tensor, segment_id) -> Tensor:
+def segment_softmax(t: Tensor, bounds) -> Tensor:
     """Softmax over the rows of each segment of a column vector."""
     if t.cols != 1:
         raise ValueError("segment_softmax expects a column vector")
     x = t.values[:, 0]
-    bounds = segment_bounds(segment_id, t.rows)
+    bounds = _segment_extents(bounds, t.rows)
     starts, counts = bounds[:-1], np.diff(bounds)
     m = np.repeat(np.maximum.reduceat(x, starts), counts)
     e = np.exp(x - m)
@@ -392,8 +384,8 @@ def segment_softmax(t: Tensor, segment_id) -> Tensor:
     return _record(out, rule)
 
 
-def segment_mean(x: Tensor, segment_id) -> Tensor:
-    bounds = segment_bounds(segment_id, x.rows)
+def segment_mean(x: Tensor, bounds) -> Tensor:
+    bounds = _segment_extents(bounds, x.rows)
     counts = np.diff(bounds)
     out = Tensor(sparse.row_sums(bounds, x.values) / counts[:, None])
 
@@ -403,8 +395,8 @@ def segment_mean(x: Tensor, segment_id) -> Tensor:
     return _record(out, rule)
 
 
-def segment_max(x: Tensor, segment_id) -> Tensor:
-    bounds = segment_bounds(segment_id, x.rows)
+def segment_max(x: Tensor, bounds) -> Tensor:
+    bounds = _segment_extents(bounds, x.rows)
     n = bounds.size - 1
     vals = np.empty((n, x.cols))
     argrows = np.empty((n, x.cols), dtype=np.int64)
@@ -437,7 +429,7 @@ def segment_products(s: np.ndarray, y: np.ndarray, bounds: np.ndarray) -> np.nda
     return out
 
 
-def assignment_reduce(s: Tensor, x: Tensor, segment_id) -> Tensor:
+def assignment_reduce(s: Tensor, x: Tensor, bounds) -> Tensor:
     """Per-segment S^T @ X for a block-diagonal soft assignment.
 
     With k = s.cols, row g*k + c of the result is sum_i s[i, c] * x[i, :]
@@ -447,7 +439,7 @@ def assignment_reduce(s: Tensor, x: Tensor, segment_id) -> Tensor:
     if s.rows != x.rows:
         raise ValueError("assignment and features must have equal rows")
     k = s.cols
-    bounds = segment_bounds(segment_id, x.rows)
+    bounds = _segment_extents(bounds, x.rows)
     n = bounds.size - 1
     out = Tensor(segment_products(s.values, x.values, bounds).reshape(n * k, x.cols))
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import diff, pooling
 from .dataset import Dataset, GraphBatch, make_batch, split
 from .diff import Adam, Tape, Tensor, backward, cross_entropy
-from .layers import GcnConv, GraphConv, Lcsmp, Linear, Mlp, Module, readout
+from .layers import GcnConv, GraphConv, Lcsmp, Linear, Mlp, Module, Stage, readout
 
 BACKBONES = ("hierarchical", "plain")
 CONVS = ("gcn", "graphconv")
@@ -80,7 +80,9 @@ class TrainingDiverged(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# pooling layers with their own trainable score/assignment functions
+# pooling layers with their own trainable score/assignment functions, called
+# as pool(x, a, graph_id) (the form perfbench/oracle.py records): each checks
+# its stage once with Stage.of
 
 
 class TopkPool(Module):
@@ -92,7 +94,7 @@ class TopkPool(Module):
 
     def __call__(self, x, a, graph_id):
         h = diff.tanh(self.score(x))
-        return pooling.node_selection_pool(x, a, h, self.ratio, graph_id)
+        return pooling.node_selection_pool(x, Stage.of(a, graph_id), h, self.ratio)
 
 
 class SagPool(Module):
@@ -104,8 +106,9 @@ class SagPool(Module):
         self.ratio = ratio
 
     def __call__(self, x, a, graph_id):
-        h = diff.tanh(self.score(self.conv(x, a)))
-        return pooling.node_selection_pool(x, a, h, self.ratio, graph_id)
+        stage = Stage.of(a, graph_id)
+        h = diff.tanh(self.score(self.conv(x, stage)))
+        return pooling.node_selection_pool(x, stage, h, self.ratio)
 
 
 class DensePool(Module):
@@ -119,7 +122,7 @@ class DensePool(Module):
 
     def __call__(self, x, a, graph_id):
         s = diff.row_softmax(self.assign(x))
-        return pooling.dense_assignment_pool(x, a, s, graph_id)
+        return pooling.dense_assignment_pool(x, Stage.of(a, graph_id), s)
 
 
 class LcPool(Module):
@@ -128,7 +131,7 @@ class LcPool(Module):
         self.ratio = ratio
 
     def __call__(self, x, a, graph_id):
-        return pooling.lcpool(x, a, self.scorer, self.ratio, graph_id)
+        return pooling.lcpool(x, Stage.of(a, graph_id), self.scorer, self.ratio)
 
 
 class LcPoolStar(Module):
@@ -138,7 +141,8 @@ class LcPoolStar(Module):
         self.ratio = ratio
 
     def __call__(self, x, a, graph_id):
-        return pooling.lcpool_star(x, a, self.cluster, self.scorer, self.ratio, graph_id)
+        return pooling.lcpool_star(x, Stage.of(a, graph_id), self.cluster, self.scorer,
+                                   self.ratio)
 
 
 def _make_pool(cfg: ModelConfig, stage: int, rng, name: str, mean_nodes: float | None):
@@ -194,19 +198,18 @@ class Model(Module):
             raise ValueError("parameter registered twice")
 
     def forward(self, batch: GraphBatch) -> Tensor:
-        x = diff.constant(batch.x)
-        a = batch.a
-        gid = batch.graph_id
-        x = diff.relu(self.pre(x))
+        """Class logits; the batch is the first stage, each pool's result the next."""
+        x = diff.relu(self.pre(diff.constant(batch.x)))
+        stage = batch
         hierarchical = self.cfg.backbone == "hierarchical"
         summed = None
         for i, (conv, pool) in enumerate(zip(self.convs, self.pools)):
-            x = diff.relu(conv(x, a))
+            x = diff.relu(conv(x, stage))
             if pool is not None:
-                result = pool(x, a, gid)
-                x, a, gid = result.x, result.a, result.graph_id
+                stage = pool(x, stage.a, stage.graph_id)
+                x = stage.x
             if hierarchical or i == N_BLOCKS - 1:
-                r = readout(x, gid)
+                r = readout(x, stage.bounds)
                 summed = r if summed is None else diff.add(summed, r)
         return self.classifier(summed)
 
@@ -225,11 +228,6 @@ def _batches(graphs, batch_size):
         yield make_batch(graphs[lo : lo + batch_size])
 
 
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose (first) argmax matches the label."""
-    return float(np.mean(logits.argmax(axis=1) == labels))
-
-
 def evaluate(model: Model, dataset: Dataset, batch_size: int) -> tuple[float, float]:
     """(accuracy, mean loss) over a dataset, without recording gradients."""
     if len(dataset) == 0:
@@ -239,7 +237,7 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int) -> tuple[float, fl
     for batch in _batches(dataset.graphs, batch_size):
         logits = model.forward(batch)
         correct += int(np.sum(logits.values.argmax(axis=1) == batch.labels))
-        loss_sum += cross_entropy(logits, batch.labels).values[0, 0] * batch.graph_count
+        loss_sum += cross_entropy(logits, batch.labels).values[0, 0] * batch.labels.size
     n = len(dataset)
     return correct / n, loss_sum / n
 

@@ -1,10 +1,13 @@
-"""Graph convolution and scoring layers.
+"""Graph convolution and scoring layers, and the :class:`Stage` they run on.
 
-Layers own their Parameters and are callable on (features, adjacency).
+Layers own their Parameters and are callable on (features, stage).
 Adjacency matrices are constants: gradients flow through features only.
 """
 
 from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,6 +73,45 @@ def gcn_normalized(a: CsrMatrix) -> CsrMatrix:
     return CsrMatrix(ah.n_rows, ah.n_cols, ah.row_ptr, ah.col_idx, scaled)
 
 
+@dataclass(frozen=True, eq=False)
+class Stage:
+    """A block-diagonal batch of graphs: graph g owns the rows bounds[g] ..
+    bounds[g + 1] - 1, graph_id[i] is the graph of node i, and no entry of a
+    joins two graphs.  The constructor trusts its arrays, as batching and
+    the pools build them; :meth:`of` checks a partition from elsewhere."""
+
+    a: CsrMatrix
+    graph_id: np.ndarray
+    bounds: np.ndarray
+
+    @staticmethod
+    def of(a: CsrMatrix, graph_id) -> "Stage":
+        """The stage of a under graph_id, checked: one sorted, non-negative id
+        per row, no graph empty, no entry of a joining two graphs."""
+        gid = np.asarray(graph_id, dtype=np.int64)
+        if gid.shape != (a.n_rows,):
+            raise ValueError("segment ids must align with tensor rows")
+        if gid.size == 0:
+            raise ValueError("segment ids are empty")
+        if gid[0] < 0 or np.any(np.diff(gid) < 0):
+            raise ValueError("segment ids must be non-negative and non-decreasing")
+        bounds = sparse.row_extents(gid, int(gid[-1]) + 1)
+        missing = np.flatnonzero(np.diff(bounds) == 0)
+        if missing.size:
+            raise ValueError(f"segment {missing[0]} has no rows")
+        rows = sparse.row_indices(a)
+        cross = np.flatnonzero(gid[rows] != gid[a.col_idx])
+        if cross.size:
+            i, j = int(rows[cross[0]]), int(a.col_idx[cross[0]])
+            raise ValueError(f"adjacency entry ({i}, {j}) joins graphs {gid[i]} and {gid[j]}")
+        return Stage(a, gid, bounds)
+
+    @functools.cached_property
+    def a_hat(self) -> CsrMatrix:
+        """:func:`gcn_normalized` of a, formed on first use."""
+        return gcn_normalized(self.a)
+
+
 class GcnConv(Module):
     """Degree-normalized convolution with self-loops: norm(A) @ X @ W^T."""
 
@@ -77,8 +119,8 @@ class GcnConv(Module):
         bound = 1.0 / np.sqrt(in_dim)
         self.weight = Parameter(f"{name}.w", rng.uniform(-bound, bound, (out_dim, in_dim)))
 
-    def __call__(self, x: Tensor, a: CsrMatrix) -> Tensor:
-        agg = diff.spmm_const(gcn_normalized(a), x)
+    def __call__(self, x: Tensor, stage: Stage) -> Tensor:
+        agg = diff.spmm_const(stage.a_hat, x)
         return diff.linear(agg, self.weight.tensor)
 
 
@@ -90,9 +132,9 @@ class GraphConv(Module):
         self.w_root = Parameter(f"{name}.w1", rng.uniform(-bound, bound, (out_dim, in_dim)))
         self.w_nbr = Parameter(f"{name}.w2", rng.uniform(-bound, bound, (out_dim, in_dim)))
 
-    def __call__(self, x: Tensor, a: CsrMatrix) -> Tensor:
+    def __call__(self, x: Tensor, stage: Stage) -> Tensor:
         own = diff.linear(x, self.w_root.tensor)
-        agg = diff.linear(diff.spmm_const(a, x), self.w_nbr.tensor)
+        agg = diff.linear(diff.spmm_const(stage.a, x), self.w_nbr.tensor)
         return diff.add(own, agg)
 
 
@@ -148,10 +190,10 @@ class Lcsmp(Module):
         hidden = diff.add(diff.relu(self.l_agg(agg)), diff.relu(self.l_self(x)))
         return self.l_score(hidden)
 
-    def __call__(self, x: Tensor, a: CsrMatrix, graph_id) -> Tensor:
-        return diff.segment_softmax(self.pre_softmax(x, a), graph_id)
+    def __call__(self, x: Tensor, stage: Stage) -> Tensor:
+        return diff.segment_softmax(self.pre_softmax(x, stage.a), stage.bounds)
 
 
-def readout(x: Tensor, graph_id) -> Tensor:
-    """Per-graph concat(mean, max) over node features; width doubles."""
-    return diff.concat_cols(diff.segment_mean(x, graph_id), diff.segment_max(x, graph_id))
+def readout(x: Tensor, bounds: np.ndarray) -> Tensor:
+    """Per-graph concat(mean, max) over a stage's extents; width doubles."""
+    return diff.concat_cols(diff.segment_mean(x, bounds), diff.segment_max(x, bounds))

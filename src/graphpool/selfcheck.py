@@ -14,7 +14,7 @@ import numpy as np
 from . import diff, harness, pooling, sparse
 from .dataset import make_synthetic
 from .diff import Tape, Tensor, backward, cross_entropy
-from .layers import Lcsmp, laplacian_score
+from .layers import Lcsmp, Stage, laplacian_score
 from .sparse import CsrMatrix, IndexSet
 
 
@@ -55,7 +55,7 @@ def random_index_set(rng, n) -> IndexSet:
 
 def _linear_score(rng, dim):
     w = rng.normal(size=(dim, 1))
-    return lambda x, _a, _gid: diff.matmul(x, diff.constant(w))
+    return lambda x, _stage: diff.matmul(x, diff.constant(w))
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +88,12 @@ def check_identity_assignment(trials: int = 200, seed: int = 2) -> CheckResult:
         d = int(rng.integers(1, 5))
         a = random_adjacency(rng, n)
         x = diff.constant(rng.normal(size=(n, d)))
-        gid = np.zeros(n, dtype=np.int64)
+        stage = Stage.of(a, np.zeros(n))
         ratio = float(rng.choice([0.3, 0.5, 0.7, 1.0]))
         score_fn = _linear_score(rng, d)
         via_identity = pooling.local_assignment_selection_pool(
-            x, a, CsrMatrix.identity(n), score_fn, ratio, gid)
-        direct = pooling.node_selection_pool(x, a, score_fn(x, a, gid), ratio, gid)
+            x, stage, CsrMatrix.identity(n), score_fn, ratio)
+        direct = pooling.node_selection_pool(x, stage, score_fn(x, stage), ratio)
         same = (
             np.array_equal(via_identity.x.values, direct.x.values)
             and sparse.equal(via_identity.a, direct.a)
@@ -128,8 +128,9 @@ def _check_block_route(trials) -> bool:
     a = sparse.from_dense(_block_diagonal([ad for ad, _, _ in trials]))
     kept = IndexSet(np.concatenate(
         [idx.indices + lo for (_, idx, _), lo in zip(trials, offsets)]))
-    gid = np.repeat(np.arange(sizes.size), sizes)
-    got = pooling._closure_by_blocks(a, kept, pooling._layout(a, kept, gid))
+    stage = Stage.of(a, np.repeat(np.arange(sizes.size), sizes))
+    kept_bounds = np.concatenate([[0], np.cumsum([len(idx) for _, idx, _ in trials])])
+    got = pooling._closure_by_blocks(stage, kept, kept_bounds)
     try:
         sparse.validate(got)
     except ValueError:
@@ -198,8 +199,8 @@ def check_contributor_connectivity(trials: int = 200, seed: int = 4) -> CheckRes
         s = CsrMatrix(n, n, star.row_ptr, star.col_idx, rng.uniform(0.1, 1.0, star.nnz))
         d = int(rng.integers(1, 4))
         result = pooling.local_assignment_selection_pool(
-            diff.constant(rng.normal(size=(n, d))), a, s,
-            _linear_score(rng, d), 0.5, np.zeros(n, dtype=np.int64),
+            diff.constant(rng.normal(size=(n, d))), Stage.of(a, np.zeros(n)), s,
+            _linear_score(rng, d), 0.5,
         )
         kept = result.kept.indices
         ad = sparse.to_dense(a)
@@ -283,7 +284,7 @@ _EDGE_IDX = np.array([3, 0, 4, 0, 3, 1, 3])
 _PATTERN = CsrMatrix.from_coo(
     6, 6, [0, 0, 1, 1, 1, 3, 5, 5], [1, 4, 0, 3, 4, 1, 0, 3], np.ones(8))
 _ADJ = random_adjacency(np.random.default_rng(7), 5, p=0.5)
-_SEG = np.array([0, 0, 0, 1, 1])
+_BOUNDS = np.array([0, 3, 5])
 _LABELS = np.array([0, 2, 1, 2])
 
 # name -> (forward over the input tensors, input shapes)
@@ -307,10 +308,10 @@ _PRIMITIVES = {
     ),
     "edge_relu_sum": (lambda p, b: diff.edge_relu_sum(p, b, _PATTERN), [(6, 3), (1, 3)]),
     "spmm_const": (lambda x: diff.spmm_const(_ADJ, x), [(5, 2)]),
-    "segment_softmax": (lambda x: diff.segment_softmax(x, _SEG), [(5, 1)]),
-    "segment_mean": (lambda x: diff.segment_mean(x, _SEG), [(5, 2)]),
-    "segment_max": (lambda x: diff.segment_max(x, _SEG), [(5, 2)]),
-    "assignment_reduce": (lambda s, x: diff.assignment_reduce(s, x, _SEG), [(5, 2), (5, 2)]),
+    "segment_softmax": (lambda x: diff.segment_softmax(x, _BOUNDS), [(5, 1)]),
+    "segment_mean": (lambda x: diff.segment_mean(x, _BOUNDS), [(5, 2)]),
+    "segment_max": (lambda x: diff.segment_max(x, _BOUNDS), [(5, 2)]),
+    "assignment_reduce": (lambda s, x: diff.assignment_reduce(s, x, _BOUNDS), [(5, 2), (5, 2)]),
     "cross_entropy": (lambda x: cross_entropy(x, _LABELS), [(4, 3)]),
 }
 
@@ -372,7 +373,7 @@ def _gradient_cases(seed):
     for name, builder, tensors in _primitive_cases(seed):
         yield name, builder, tensors, [f"input {i}" for i in range(len(tensors))]
     batch = _grad_batch(keyed_rng(seed, "batch"))
-    mean_nodes = batch.x.shape[0] / batch.graph_count
+    mean_nodes = batch.x.shape[0] / batch.labels.size
     for name, cfg in _GRAD_CONFIGS:
         model = harness.build_model(cfg, feature_dim=3, num_classes=2, seed=seed,
                                     mean_nodes=mean_nodes)
@@ -489,7 +490,7 @@ def check_size_adaptivity(trials: int = 50, seed: int = 8) -> CheckResult:
         ]
         batch = make_batch(graphs)
         scorer = Lcsmp(2, rng, "probe")
-        result = pooling.lcpool(diff.constant(batch.x), batch.a, scorer, ratio, batch.graph_id)
+        result = pooling.lcpool(diff.constant(batch.x), batch, scorer, ratio)
         counts = np.bincount(result.graph_id, minlength=len(sizes))
         expected = pooling.kept_count(ratio, sizes)
         if not np.array_equal(counts, expected):

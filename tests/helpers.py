@@ -7,6 +7,7 @@ import numpy as np
 
 from graphpool import diff, harness, sparse
 from graphpool.dataset import make_batch, make_synthetic
+from graphpool.layers import Stage
 from graphpool.sparse import CsrMatrix
 
 
@@ -33,6 +34,18 @@ def triangle() -> CsrMatrix:
         [1, 0, 1],
         [1, 1, 0],
     ], dtype=np.float64))
+
+
+def single_graph(a: CsrMatrix) -> Stage:
+    """The one-graph stage of adjacency a."""
+    return Stage.of(a, np.zeros(a.n_rows))
+
+
+def edgeless(graph_id) -> Stage:
+    """The stage of sorted graph ids without edges, all that topk and the
+    segment ops read."""
+    gid = np.asarray(graph_id)
+    return Stage.of(CsrMatrix.empty(gid.size, gid.size), gid)
 
 
 def random_integer_dense(rng, n_rows, n_cols, density=0.3, lo=-3, hi=3):

@@ -279,7 +279,7 @@ class TestBatch:
         assert np.array_equal(batch.x, g.x)
         assert sparse.equal(batch.a, g.a)
         assert np.array_equal(batch.graph_id, np.zeros(g.num_nodes))
-        assert batch.graph_count == 1
+        assert batch.labels.size == 1
 
     def test_triangle_plus_edge_block_structure(self):
         tri = Graph(3, np.ones((3, 1)), sparse.from_dense(

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import path4
+from helpers import edgeless, path4
 from graphpool import diff, harness, pooling, selfcheck
 from graphpool.diff import (
     Adam,
@@ -17,6 +17,11 @@ from graphpool.diff import (
 )
 from graphpool.selfcheck import _primitive_cases, gradient_max_rel_err
 from graphpool.sparse import CsrMatrix
+
+
+def extents(segment_id):
+    """Row extents of sorted segment ids, checked once as a stage's are."""
+    return edgeless(segment_id).bounds
 
 
 class TestForwardValues:
@@ -44,44 +49,48 @@ class TestForwardValues:
         assert np.array_equal(y.values, [[0.0, 2.0]])
 
     def test_segment_softmax_uniform(self):
-        h = diff.segment_softmax(constant([[3.0]] * 4), [0, 0, 0, 0])
+        h = diff.segment_softmax(constant([[3.0]] * 4), extents([0, 0, 0, 0]))
         assert np.allclose(h.values, 0.25)
 
     def test_segment_softmax_two_graphs(self):
-        h = diff.segment_softmax(constant([[1.0], [1.0], [5.0]]), [0, 0, 1])
+        h = diff.segment_softmax(constant([[1.0], [1.0], [5.0]]), extents([0, 0, 1]))
         assert np.allclose(h.values.ravel(), [0.5, 0.5, 1.0])
 
     def test_segment_softmax_sums_to_one(self):
         rng = np.random.default_rng(1)
         values = constant(rng.normal(size=(50, 1)) * 30)
         seg = np.sort(rng.integers(0, 7, size=50))
-        h = diff.segment_softmax(values, seg).values.ravel()
+        h = diff.segment_softmax(values, extents(seg)).values.ravel()
         sums = np.bincount(seg, weights=h)
         assert np.all(np.abs(sums[np.bincount(seg) > 0] - 1.0) < 1e-12)
 
     @pytest.mark.parametrize("op", [
-        diff.segment_softmax, diff.segment_mean, diff.segment_max,
-        pytest.param(lambda t, seg: diff.assignment_reduce(t, t, seg), id="assignment_reduce"),
-        pytest.param(lambda t, seg: pooling.topk(t, seg, 0.5), id="topk"),
-        pytest.param(lambda t, seg: pooling.dense_assignment_pool(t, CsrMatrix.empty(3, 3), t, seg),
+        pytest.param(lambda t, seg: diff.segment_softmax(t, extents(seg)), id="segment_softmax"),
+        pytest.param(lambda t, seg: diff.segment_mean(t, extents(seg)), id="segment_mean"),
+        pytest.param(lambda t, seg: diff.segment_max(t, extents(seg)), id="segment_max"),
+        pytest.param(lambda t, seg: diff.assignment_reduce(t, t, extents(seg)),
+                     id="assignment_reduce"),
+        pytest.param(lambda t, seg: pooling.topk(t, edgeless(seg), 0.5), id="topk"),
+        pytest.param(lambda t, seg: pooling.dense_assignment_pool(t, edgeless(seg), t),
                      id="dense_assignment_pool"),
-    ], ids=lambda op: op.__name__)
+    ])
     def test_segment_softmax_rejects_a_gap(self, op):
-        # segment 1 has no rows, which every segment op rejects
+        # segment 1 has no rows: the stage every segment op takes its
+        # extents from rejects it
         with pytest.raises(ValueError, match="segment 1 has no rows"):
             op(constant([[1.0], [2.0], [3.0]]), [0, 0, 2])
 
     def test_segment_mean_max_single_rows(self):
         x = constant([[2.0, -1.0], [5.0, 3.0]])
-        mean = diff.segment_mean(x, [0, 1])
-        high = diff.segment_max(x, [0, 1])
+        mean = diff.segment_mean(x, extents([0, 1]))
+        high = diff.segment_max(x, extents([0, 1]))
         assert np.array_equal(mean.values, x.values)
         assert np.array_equal(high.values, x.values)
 
     def test_segment_mean_max_one_graph(self):
         x = constant([[1.0], [3.0]])
-        assert np.array_equal(diff.segment_mean(x, [0, 0]).values, [[2.0]])
-        assert np.array_equal(diff.segment_max(x, [0, 0]).values, [[3.0]])
+        assert np.array_equal(diff.segment_mean(x, extents([0, 0])).values, [[2.0]])
+        assert np.array_equal(diff.segment_max(x, extents([0, 0])).values, [[3.0]])
 
     def test_spmm_const_identity_and_empty(self):
         x = constant(np.arange(4, dtype=np.float64).reshape(2, 2))
@@ -167,7 +176,7 @@ class TestBackwardMechanics:
     def test_segment_max_tie_sends_gradient_to_first_max_row(self):
         x = Tensor([[1.0, 4.0], [3.0, 4.0], [3.0, 2.0], [5.0, 5.0], [5.0, -1.0]])
         with Tape():
-            out = diff.segment_max(x, [0, 0, 0, 1, 1])
+            out = diff.segment_max(x, extents([0, 0, 0, 1, 1]))
             loss = diff.sum_all(diff.mul(out, constant([[10.0, 20.0], [30.0, 40.0]])))
         backward(loss)
         assert np.array_equal(out.values, [[3.0, 4.0], [5.0, 5.0]])
@@ -252,11 +261,11 @@ class TestFiniteDifferences:
     def test_readout_style_segments(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(6, 3)))
-        seg = np.array([0, 0, 0, 0, 1, 1])
+        bounds = extents([0, 0, 0, 0, 1, 1])
         proj = rng.normal(size=(2, 6))
 
         def builder():
-            r = diff.concat_cols(diff.segment_mean(x, seg), diff.segment_max(x, seg))
+            r = diff.concat_cols(diff.segment_mean(x, bounds), diff.segment_max(x, bounds))
             return diff.sum_all(diff.mul(r, constant(proj)))
 
         assert gradient_max_rel_err(builder, [x]) < 1e-6

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import training_fingerprint
-from graphpool import diff, harness, selfcheck, sparse
+from helpers import path4, random_adjacency_dense, training_fingerprint
+from graphpool import diff, harness, layers, selfcheck, sparse
 from graphpool.dataset import Graph, make_batch, make_synthetic, split
 from graphpool.harness import (
     ModelConfig,
@@ -17,8 +17,8 @@ from graphpool.harness import (
     _average_ranks,
     _improved,
     _should_stop,
-    accuracy,
     build_model,
+    evaluate,
     evaluate_suite,
     load_records,
     rank,
@@ -59,12 +59,12 @@ class TestModelBuilding:
         model = build_model(ModelConfig(pool="lcpool", ratio=0.5, **TINY), 1, 2, seed=0)
         batch = make_batch([g])
         x = diff.relu(model.pre(diff.constant(batch.x)))
-        a, gid = batch.a, batch.graph_id
+        stage = batch
         sizes = [x.rows]
         for conv, pool in zip(model.convs, model.pools):
-            x = diff.relu(conv(x, a))
-            result = pool(x, a, gid)
-            x, a, gid = result.x, result.a, result.graph_id
+            x = diff.relu(conv(x, stage))
+            stage = pool(x, stage.a, stage.graph_id)
+            x = stage.x
             sizes.append(x.rows)
         assert sizes == [40, 20, 10, 5]
 
@@ -157,6 +157,60 @@ class TestModelBuilding:
             assert g.flags.c_contiguous and not g.flags.writeable, p.name
 
 
+class TestStages:
+    """A stage is checked once, when a pool module is called; make_batch and
+    the pools build theirs by construction."""
+
+    POOLED = [pool for pool in harness.POOLS if pool != "nopool"]
+
+    @pytest.mark.parametrize("pool", POOLED)
+    def test_pool_module_rejects_an_edge_joining_two_graphs(self, pool):
+        batch = make_batch([Graph(4, np.eye(4), path4(), 0), Graph(4, np.eye(4), path4(), 1)])
+        a = batch.a
+        joined = sparse.CsrMatrix.from_coo(8, 8, np.append(sparse.row_indices(a), 2),
+                                           np.append(a.col_idx, 5), np.ones(a.nnz + 1))
+        model = build_model(ModelConfig(pool=pool, **TINY), 4, 2, seed=0, mean_nodes=4.0)
+        with pytest.raises(ValueError, match=r"entry \(2, 5\) joins graphs 0 and 1"):
+            model.pools[0](diff.constant(np.ones((8, 8))), joined, batch.graph_id)
+
+    def test_nopool_forward_normalises_the_batch_once(self, monkeypatch):
+        calls = []
+        normalized = layers.gcn_normalized
+        monkeypatch.setattr(layers, "gcn_normalized", lambda a: calls.append(a) or normalized(a))
+        ds = tiny_dataset()
+        model = build_model(ModelConfig(pool="nopool", **TINY), ds.feature_dim,
+                            ds.num_classes, seed=0)
+        batch = make_batch(ds.graphs[:8])
+        model.forward(batch)
+        assert len(calls) == 1 and calls[0] is batch.a
+
+    @pytest.mark.parametrize("pool", POOLED)
+    def test_built_extents_match_the_graph_ids(self, pool):
+        rng = np.random.default_rng(21)
+        for trial in range(4):
+            sizes = rng.integers(1, 16, size=int(rng.integers(2, 9)))
+            graphs = [Graph(int(n), rng.normal(size=(int(n), 3)),
+                            sparse.from_dense(random_adjacency_dense(rng, int(n), p=0.4)), 0)
+                      for n in sizes]
+            batch = make_batch(graphs)
+            model = build_model(ModelConfig(pool=pool, **TINY), 3, 2, seed=trial,
+                                mean_nodes=float(sizes.mean()))
+            stages = [batch]
+
+            def recorded(p):
+                def call(x, a, graph_id):
+                    stages.append(p(x, a, graph_id))
+                    return stages[-1]
+                return call
+
+            model.pools = [recorded(p) for p in model.pools]
+            model.forward(batch)
+            assert len(stages) == 1 + harness.N_BLOCKS
+            for stage in stages:
+                want = sparse.row_extents(stage.graph_id, sizes.size)
+                assert np.array_equal(stage.bounds, want)
+
+
 class TestEarlyStoppingRules:
     def test_improvement_every_epoch_runs_to_max(self):
         best_epoch = 0
@@ -185,9 +239,14 @@ class TestEarlyStoppingRules:
         assert _improved(0.6, 9.9, 0.5, 0.1)
 
     def test_accuracy_first_index_tie_break(self):
-        logits = np.array([[1.0, 1.0], [0.0, 2.0]])
-        assert accuracy(logits, np.array([0, 1])) == 1.0
-        assert accuracy(logits, np.array([1, 1])) == 0.5
+        ds = tiny_dataset(2)
+        model = build_model(ModelConfig(pool="nopool", **TINY), ds.feature_dim,
+                            ds.num_classes, seed=0)
+        model.forward = lambda batch: diff.Tensor([[1.0, 1.0], [0.0, 2.0]])
+        graphs = [replace(g, label=label) for g, label in zip(ds.graphs, (0, 1))]
+        assert evaluate(model, replace(ds, graphs=graphs), batch_size=2)[0] == 1.0
+        graphs = [replace(g, label=1) for g in ds.graphs]
+        assert evaluate(model, replace(ds, graphs=graphs), batch_size=2)[0] == 0.5
 
 
 class TestTraining:
@@ -251,7 +310,7 @@ class TestTraining:
         model = build_model(ModelConfig(pool="nopool", **TINY), ds.feature_dim,
                             ds.num_classes, seed=0)
         model.forward = lambda batch: diff.Tensor(
-            np.full((batch.graph_count, ds.num_classes), np.nan))
+            np.full((batch.labels.size, ds.num_classes), np.nan))
         with pytest.raises(TrainingDiverged, match="epoch 1"):
             train(model, parts, cfg)
 

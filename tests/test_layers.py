@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import cycle, path4, random_adjacency_dense
+from helpers import cycle, path4, random_adjacency_dense, single_graph
 from graphpool import dataset, diff, harness, pooling, sparse
 from graphpool.diff import Parameter, Tape, Tensor, backward, constant
 from graphpool.layers import (
@@ -11,6 +11,7 @@ from graphpool.layers import (
     Linear,
     Mlp,
     Module,
+    Stage,
     gcn_normalized,
     laplacian,
     laplacian_score,
@@ -57,13 +58,13 @@ class TestGcnConv:
         conv = GcnConv(2, 2, np.random.default_rng(0), "c")
         conv.weight.tensor.values = np.eye(2)
         x = constant([[3.0, -1.0]])
-        out = conv(x, CsrMatrix.empty(1, 1))
+        out = conv(x, single_graph(CsrMatrix.empty(1, 1)))
         assert np.allclose(out.values, x.values)  # degree 1 normalization
 
     def test_connected_pair_symmetry(self):
         conv = GcnConv(2, 3, np.random.default_rng(1), "c")
         a = sparse.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        out = conv(constant([[1.0, 2.0], [1.0, 2.0]]), a)
+        out = conv(constant([[1.0, 2.0], [1.0, 2.0]]), single_graph(a))
         assert np.allclose(out.values[0], out.values[1])
 
     def test_path_matches_dense_normalization_oracle(self):
@@ -73,7 +74,7 @@ class TestGcnConv:
         a_hat = sparse.to_dense(path4()) + np.eye(4)
         d_inv = np.diag(1.0 / np.sqrt(a_hat.sum(axis=1)))
         expected = d_inv @ a_hat @ d_inv @ x
-        out = conv(constant(x), path4())
+        out = conv(constant(x), single_graph(path4()))
         assert np.allclose(out.values, expected, atol=1e-12)
 
     def test_normalized_adjacency_rows(self):
@@ -88,7 +89,7 @@ class TestGraphConv:
     def test_isolated_node_keeps_own_transform(self):
         conv = GraphConv(2, 2, np.random.default_rng(3), "c")
         x = constant([[1.0, 2.0]])
-        out = conv(x, CsrMatrix.empty(1, 1))
+        out = conv(x, single_graph(CsrMatrix.empty(1, 1)))
         assert np.allclose(out.values, x.values @ conv.w_root.tensor.values.T)
 
     def test_swap_on_pair(self):
@@ -97,7 +98,7 @@ class TestGraphConv:
         conv.w_nbr.tensor.values = np.eye(2)
         a = sparse.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = conv(constant(x), a)
+        out = conv(constant(x), single_graph(a))
         assert np.array_equal(out.values, x[::-1])
 
     def test_random_graph_matches_dense_oracle(self):
@@ -106,7 +107,7 @@ class TestGraphConv:
         ad = random_adjacency_dense(rng, 5, p=0.5)
         x = rng.normal(size=(5, 3))
         expected = x @ conv.w_root.tensor.values.T + ad @ x @ conv.w_nbr.tensor.values.T
-        out = conv(constant(x), sparse.from_dense(ad))
+        out = conv(constant(x), single_graph(sparse.from_dense(ad)))
         assert np.allclose(out.values, expected, atol=1e-12)
 
 
@@ -140,7 +141,7 @@ class TestLcsmp:
         scorer = Lcsmp(2, rng, "s")
         for p in scorer.parameters():
             p.tensor.values = rng.normal(size=p.tensor.shape)
-        h = scorer(constant(np.full((6, 2), 1.5)), cycle(6), np.zeros(6, dtype=np.int64))
+        h = scorer(constant(np.full((6, 2), 1.5)), single_graph(cycle(6)))
         assert np.allclose(h.values, 1.0 / 6.0, atol=1e-12)
 
     def test_scores_sum_to_one_per_graph(self):
@@ -149,7 +150,7 @@ class TestLcsmp:
         from graphpool.dataset import make_batch, make_synthetic
         batch = make_batch(make_synthetic("two_communities", 4, seed=2).graphs)
         x = constant(np.hstack([batch.x, rng.normal(size=(batch.x.shape[0], 2))]))
-        h = scorer(x, batch.a, batch.graph_id).values.ravel()
+        h = scorer(x, batch).values.ravel()
         sums = np.bincount(batch.graph_id, weights=h)
         assert np.all(np.abs(sums - 1.0) < 1e-12)
 
@@ -176,12 +177,11 @@ class TestLcsmp:
             p.tensor.values = rng.normal(size=p.tensor.shape)
         ad = random_adjacency_dense(rng, 6, p=0.5)
         x = constant(rng.normal(size=(6, 2)))
-        a = sparse.from_dense(ad)
+        stage = single_graph(sparse.from_dense(ad))
         proj = rng.normal(size=(6, 1))
-        gid = np.zeros(6, dtype=np.int64)
 
         def builder():
-            return diff.sum_all(diff.mul(scorer(x, a, gid), constant(proj)))
+            return diff.sum_all(diff.mul(scorer(x, stage), constant(proj)))
 
         tensors = [p.tensor for p in scorer.parameters()]
         assert gradient_max_rel_err(builder, tensors) < 1e-4
@@ -221,12 +221,13 @@ def reference_batch(rng, dim):
     return dataset.make_batch(graphs)
 
 
-def assert_kept_sets_match_up_to_ties(scorer, x, a, gid, ratio=0.5):
+def assert_kept_sets_match_up_to_ties(scorer, x, stage, ratio=0.5):
     """Kept sets of the two routes may differ only by swapping nodes whose
     reference scores are within one ulp of each other."""
-    ref = diff.segment_softmax(reference_pre_softmax(scorer, x, a), gid)
-    kept_ref = pooling.topk(ref, gid, ratio).indices
-    kept_new = pooling.topk(scorer(x, a, gid), gid, ratio).indices
+    ref = diff.segment_softmax(reference_pre_softmax(scorer, x, stage.a), stage.bounds)
+    kept_ref = pooling.topk(ref, stage, ratio).indices
+    kept_new = pooling.topk(scorer(x, stage), stage, ratio).indices
+    gid = stage.graph_id
     scores = ref.values[:, 0]
     only_new = np.setdiff1d(kept_new, kept_ref)
     only_ref = np.setdiff1d(kept_ref, kept_new)
@@ -274,8 +275,7 @@ class TestLcsmpMatchesLiteralComposition:
         batch = reference_batch(rng, 6)
         for _ in range(5):
             scorer = self._scorer(rng, 6, 16)
-            assert_kept_sets_match_up_to_ties(
-                scorer, constant(batch.x), batch.a, batch.graph_id)
+            assert_kept_sets_match_up_to_ties(scorer, constant(batch.x), batch)
 
     @pytest.mark.parametrize("pool", ["lcpool", "lcpool_star"])
     def test_kept_sets_through_training(self, pool):
@@ -303,8 +303,9 @@ class TestLcsmpMatchesLiteralComposition:
             backward(loss)
             opt.step()
             for p, x, a, gid in calls:
-                scored = p.cluster(x, a) if isinstance(p, harness.LcPoolStar) else x
-                assert_kept_sets_match_up_to_ties(p.scorer, scored, a, gid)
+                stage = Stage.of(a, gid)
+                scored = p.cluster(x, stage) if isinstance(p, harness.LcPoolStar) else x
+                assert_kept_sets_match_up_to_ties(p.scorer, scored, stage)
             calls.clear()
 
 
@@ -326,8 +327,8 @@ class TestOneHopLocality:
         for j in range(4):
             if j not in near:
                 x_far_zeroed[j] = 0.0
-        full = conv(constant(x), path4()).values[node]
-        masked = conv(constant(x_far_zeroed), path4()).values[node]
+        full = conv(constant(x), single_graph(path4())).values[node]
+        masked = conv(constant(x_far_zeroed), single_graph(path4())).values[node]
         assert np.allclose(full, masked, atol=1e-12)
 
 
@@ -350,11 +351,11 @@ class TestMlpAndReadout:
 
     def test_single_node_readout_duplicates_row(self):
         x = constant([[1.0, 2.0]])
-        out = readout(x, [0])
+        out = readout(x, [0, 1])
         assert np.array_equal(out.values, [[1.0, 2.0, 1.0, 2.0]])
 
     def test_mean_then_max_blocks(self):
-        out = readout(constant([[1.0], [3.0]]), [0, 0])
+        out = readout(constant([[1.0], [3.0]]), [0, 2])
         assert np.array_equal(out.values, [[2.0, 3.0]])
 
     def test_linear_matches_formula(self):
@@ -376,12 +377,12 @@ class TestTapeEntriesPerLayer:
     def test_counts(self):
         rng = np.random.default_rng(14)
         x = constant(rng.normal(size=(4, 3)))
-        a = path4()
+        stage = single_graph(path4())
+        a = stage.a
         assert self._entries(lambda: Linear(3, 2, rng, "l")(x)) == 1
-        assert self._entries(lambda: GcnConv(3, 2, rng, "c")(x, a)) == 2
-        assert self._entries(lambda: GraphConv(3, 2, rng, "g")(x, a)) == 4
+        assert self._entries(lambda: GcnConv(3, 2, rng, "c")(x, stage)) == 2
+        assert self._entries(lambda: GraphConv(3, 2, rng, "g")(x, stage)) == 4
         w = Parameter("w", rng.normal(size=(1, 3)))
         assert self._entries(lambda: laplacian_score(x, a, w)) == 2
         assert self._entries(lambda: Mlp([3, 5, 4, 2], rng, "m")(x)) == 5
-        graph_id = np.zeros(4, dtype=np.int64)
-        assert self._entries(lambda: Lcsmp(3, rng, "s")(x, a, graph_id)) == 9
+        assert self._entries(lambda: Lcsmp(3, rng, "s")(x, stage)) == 9

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import cycle, path4, random_adjacency_dense
+from helpers import cycle, edgeless, path4, random_adjacency_dense, single_graph
 from graphpool import diff, pooling, sparse
 from graphpool.dataset import Graph, make_batch, make_synthetic
 from graphpool.diff import constant
-from graphpool.layers import GcnConv, Lcsmp
+from graphpool.layers import GcnConv, Lcsmp, Stage
 from graphpool.pooling import (
     dense_assignment_pool,
     kept_count,
@@ -26,31 +26,27 @@ def fixed_score(values):
 
 def linear_score(rng, dim):
     w = rng.normal(size=(dim, 1))
-    return lambda x, a, gid: diff.matmul(x, constant(w))
-
-
-def single_graph_ids(n):
-    return np.zeros(n, dtype=np.int64)
+    return lambda x, stage: diff.matmul(x, constant(w))
 
 
 class TestTopk:
     def test_half_of_four(self):
         h = constant([[0.5], [0.1], [0.9], [0.3]])
-        kept = topk(h, single_graph_ids(4), 0.5)
+        kept = topk(h, edgeless(np.zeros(4)), 0.5)
         assert np.array_equal(kept.indices, [0, 2])
 
     def test_ratio_one_keeps_all(self):
         h = constant([[0.5], [0.1], [0.9], [0.3]])
-        assert np.array_equal(topk(h, single_graph_ids(4), 1.0).indices, np.arange(4))
+        assert np.array_equal(topk(h, edgeless(np.zeros(4)), 1.0).indices, np.arange(4))
 
     def test_floor_protection(self):
         h = constant([[1.0], [2.0], [3.0], [9.0]])
-        kept = topk(h, np.array([0, 0, 0, 1]), 0.5)
+        kept = topk(h, edgeless([0, 0, 0, 1]), 0.5)
         assert np.array_equal(np.bincount(np.array([0, 0, 0, 1])[kept.indices]), [2, 1])
 
     def test_tie_break_prefers_lower_index(self):
         h = constant([[1.0], [1.0], [1.0], [1.0]])
-        kept = topk(h, single_graph_ids(4), 0.5)
+        kept = topk(h, edgeless(np.zeros(4)), 0.5)
         assert np.array_equal(kept.indices, [0, 1])
 
     def test_kept_count_formula(self):
@@ -75,7 +71,7 @@ class TestTopk:
                 order = np.argsort(-s[lo : lo + n], kind="stable")
                 expected.extend(sorted((lo + order[: kept_count(ratio, n)]).tolist()))
                 lo += n
-            kept = topk(constant(s[:, None]), gid, ratio)
+            kept = topk(constant(s[:, None]), edgeless(gid), ratio)
             assert kept.indices.tolist() == expected
 
     def test_kept_count_elementwise_matches_scalar(self):
@@ -94,22 +90,20 @@ class TestNodeSelection:
     def test_ratio_one_constant_score(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 2))
-        result = node_selection_pool(constant(x), path4(), fixed_score([2.0] * 4), 1.0,
-                                     single_graph_ids(4))
+        result = node_selection_pool(constant(x), single_graph(path4()),
+                                     fixed_score([2.0] * 4), 1.0)
         assert np.array_equal(result.x.values, 2.0 * x)
         assert sparse.equal(result.a, path4())
 
     def test_keep_middle_pair_leaves_one_edge(self):
         result = node_selection_pool(
-            constant(np.eye(4)), path4(), fixed_score([0.0, 1.0, 1.0, 0.0]), 0.5,
-            single_graph_ids(4))
+            constant(np.eye(4)), single_graph(path4()), fixed_score([0.0, 1.0, 1.0, 0.0]), 0.5)
         assert np.array_equal(result.kept.indices, [1, 2])
         assert np.array_equal(sparse.to_dense(result.a), [[0, 1], [1, 0]])
 
     def test_keep_endpoints_loses_all_edges(self):
         result = node_selection_pool(
-            constant(np.eye(4)), path4(), fixed_score([1.0, 0.0, 0.0, 1.0]), 0.5,
-            single_graph_ids(4))
+            constant(np.eye(4)), single_graph(path4()), fixed_score([1.0, 0.0, 0.0, 1.0]), 0.5)
         assert np.array_equal(result.kept.indices, [0, 3])
         assert result.a.nnz == 0
 
@@ -117,15 +111,15 @@ class TestNodeSelection:
 class TestDenseAssignment:
     def test_identity_assignment_keeps_graph(self):
         x = np.random.default_rng(1).normal(size=(4, 2))
-        result = dense_assignment_pool(constant(x), path4(), constant(np.eye(4)),
-                                       single_graph_ids(4))
+        result = dense_assignment_pool(constant(x), single_graph(path4()),
+                                       constant(np.eye(4)))
         assert np.allclose(result.x.values, x)
         assert np.array_equal(sparse.to_dense(result.a), sparse.to_dense(path4()))
 
     def test_single_cluster_collapses_to_empty(self):
         result = dense_assignment_pool(
-            constant(np.arange(4, dtype=np.float64).reshape(4, 1)), path4(),
-            constant(np.ones((4, 1))), single_graph_ids(4))
+            constant(np.arange(4, dtype=np.float64).reshape(4, 1)), single_graph(path4()),
+            constant(np.ones((4, 1))))
         assert np.array_equal(result.x.values, [[6.0]])  # column sum
         assert result.a.nnz == 0  # only entry was the dropped self-loop
 
@@ -135,8 +129,7 @@ class TestDenseAssignment:
         batch = make_batch(graphs)
         logits = rng.normal(size=(batch.x.shape[0], k))
         s = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        result = dense_assignment_pool(
-            constant(batch.x), batch.a, constant(s), batch.graph_id)
+        result = dense_assignment_pool(constant(batch.x), batch, constant(s))
         sparse.validate(result.a)
         expected_a = np.zeros((len(graphs) * k, len(graphs) * k))
         expected_x = np.zeros((len(graphs) * k, 3))
@@ -182,8 +175,8 @@ class TestDenseAssignment:
 
     def test_zero_clusters_rejected(self):
         with pytest.raises(ValueError):
-            dense_assignment_pool(constant(np.eye(2)), CsrMatrix.empty(2, 2),
-                                  constant(np.empty((2, 0))), single_graph_ids(2))
+            dense_assignment_pool(constant(np.eye(2)), single_graph(CsrMatrix.empty(2, 2)),
+                                  constant(np.empty((2, 0))))
 
 
 class TestLocalAssignmentValidation:
@@ -207,8 +200,8 @@ class TestLocalAssignmentValidation:
         s = CsrMatrix.from_coo(4, 4, [0], [3], [1.0])
         with pytest.raises(ValueError, match=r"\(0, 3\)"):
             local_assignment_selection_pool(
-                constant(np.eye(4)), path4(), s,
-                lambda *_: fixed_score([1.0] * 4), 0.5, single_graph_ids(4))
+                constant(np.eye(4)), single_graph(path4()), s,
+                lambda *_: fixed_score([1.0] * 4), 0.5)
 
 
 class TestLocalAssignmentSelection:
@@ -220,12 +213,10 @@ class TestLocalAssignmentSelection:
             x = rng.normal(size=(n, 3))
             score = linear_score(rng, 3)
             ratio = float(rng.choice([0.4, 0.7, 1.0]))
-            a = sparse.from_dense(ad)
+            stage = single_graph(sparse.from_dense(ad))
             via_identity = local_assignment_selection_pool(
-                constant(x), a, CsrMatrix.identity(n), score, ratio, single_graph_ids(n))
-            direct = node_selection_pool(constant(x), a,
-                                         score(constant(x), a, single_graph_ids(n)),
-                                         ratio, single_graph_ids(n))
+                constant(x), stage, CsrMatrix.identity(n), score, ratio)
+            direct = node_selection_pool(constant(x), stage, score(constant(x), stage), ratio)
             assert np.array_equal(via_identity.x.values, direct.x.values)
             assert sparse.equal(via_identity.a, direct.a)
             assert np.array_equal(via_identity.kept.indices, direct.kept.indices)
@@ -244,21 +235,19 @@ class TestLocalAssignmentSelection:
         w = rng.normal(size=(3, 1))
         calls = []
 
-        def score_fn(x_star, a, gid):
-            calls.append((x_star.values, a, np.asarray(gid)))
+        def score_fn(x_star, stage):
+            calls.append((x_star.values, stage))
             return diff.matmul(x_star, constant(w))
 
-        result = local_assignment_selection_pool(
-            constant(batch.x), batch.a, s, score_fn, 0.5, batch.graph_id)
+        result = local_assignment_selection_pool(constant(batch.x), batch, s, score_fn, 0.5)
         x_star = sparse.to_dense(s).T @ batch.x
         assert len(calls) == 1
-        seen_x, seen_a, seen_gid = calls[0]
+        seen_x, seen_stage = calls[0]
         np.testing.assert_allclose(seen_x, x_star, rtol=1e-12, atol=1e-12)
-        assert seen_a is batch.a
-        assert np.array_equal(seen_gid, batch.graph_id)
+        assert seen_stage is batch
         h = seen_x @ w
         assert np.array_equal(result.scores.values, h)
-        kept = topk(constant(h), batch.graph_id, 0.5).indices
+        kept = topk(constant(h), batch, 0.5).indices
         assert np.array_equal(result.kept.indices, kept)
         assert np.array_equal(result.x.values, (seen_x * h)[kept])
 
@@ -267,8 +256,8 @@ class TestLocalAssignmentSelection:
         # contain adjacent nodes 1 and 2, so the pooled pair gets an edge
         star = sparse.add_self_loops(path4())
         result = local_assignment_selection_pool(
-            constant(np.eye(4)), path4(), star,
-            lambda *_: fixed_score([1.0, 0.0, 0.0, 1.0]), 0.5, single_graph_ids(4))
+            constant(np.eye(4)), single_graph(path4()), star,
+            lambda *_: fixed_score([1.0, 0.0, 0.0, 1.0]), 0.5)
         assert np.array_equal(result.kept.indices, [0, 3])
         assert sparse.to_dense(result.a)[0, 1] != 0
 
@@ -282,8 +271,8 @@ class TestLocalAssignmentSelection:
             s = CsrMatrix(n, n, star.row_ptr, star.col_idx,
                           rng.uniform(0.1, 1.0, star.nnz))
             result = local_assignment_selection_pool(
-                constant(rng.normal(size=(n, 2))), a, s,
-                linear_score(rng, 2), 0.6, single_graph_ids(n))
+                constant(rng.normal(size=(n, 2))), single_graph(a), s,
+                linear_score(rng, 2), 0.6)
             kept = result.kept.indices
             pooled = sparse.to_dense(result.a) != 0
             original = ad[np.ix_(kept, kept)] != 0
@@ -311,10 +300,10 @@ class TestLocalClusterSelection:
             score = fixed_score(rng.normal(size=n))
             star = sparse.add_self_loops(a)
             via_assignment = local_assignment_selection_pool(
-                constant(x), a, star, lambda *_: score, ratio, single_graph_ids(n))
+                constant(x), single_graph(a), star, lambda *_: score, ratio)
             via_cluster = local_cluster_selection_pool(
-                diff.spmm_const(sparse.transpose(star), constant(x)), a,
-                score, ratio, single_graph_ids(n))
+                diff.spmm_const(sparse.transpose(star), constant(x)), single_graph(a),
+                score, ratio)
             kept = via_cluster.kept
             assert len(kept) == kept_count(ratio, n)
             assert np.array_equal(via_assignment.kept.indices, kept.indices)
@@ -326,8 +315,8 @@ class TestLocalClusterSelection:
 
     def test_path_endpoints_reconnect_within_three_hops(self):
         result = local_cluster_selection_pool(
-            constant(np.eye(4)), path4(),
-            fixed_score([1.0, 0.0, 0.0, 1.0]), 0.5, single_graph_ids(4))
+            constant(np.eye(4)), single_graph(path4()),
+            fixed_score([1.0, 0.0, 0.0, 1.0]), 0.5)
         assert np.array_equal(result.kept.indices, [0, 3])
         assert np.array_equal(sparse.to_dense(result.a), [[0, 1], [1, 0]])
 
@@ -335,8 +324,8 @@ class TestLocalClusterSelection:
         weighted = CsrMatrix.from_coo(2, 2, [0, 1], [1, 0], [2.0, 2.0])
         with pytest.raises(ValueError, match="unweighted"):
             local_cluster_selection_pool(
-                constant(np.eye(2)), weighted,
-                fixed_score([1.0, 0.0]), 1.0, single_graph_ids(2))
+                constant(np.eye(2)), single_graph(weighted),
+                fixed_score([1.0, 0.0]), 1.0)
 
 
 class TestClosureRoutes:
@@ -344,19 +333,22 @@ class TestClosureRoutes:
 
     @staticmethod
     def _stages(batch, ratio, seed, stages=3):
-        """(a, kept, graph_id) of each stage of a chain of pools on random scores."""
+        """(stage, kept, kept extents) of each stage of a chain of pools on
+        random scores."""
         rng = np.random.default_rng(seed)
-        a, gid = batch.a, batch.graph_id
+        stage = batch
         for _ in range(stages):
-            kept = topk(fixed_score(rng.normal(size=a.n_rows)), gid, ratio)
-            yield a, kept, gid
-            a, gid = pooling._closure_by_sparse(a, kept), gid[kept.indices]
+            kept = topk(fixed_score(rng.normal(size=stage.a.n_rows)), stage, ratio)
+            gid = stage.graph_id[kept.indices]
+            kept_bounds = sparse.row_extents(gid, stage.bounds.size - 1)
+            yield stage, kept, kept_bounds
+            stage = Stage(pooling._closure_by_sparse(stage.a, kept), gid, kept_bounds)
 
     def _assert_routes_agree(self, batch, ratio, seed):
-        for a, kept, gid in self._stages(batch, ratio, seed):
-            by_blocks = pooling._closure_by_blocks(a, kept, pooling._layout(a, kept, gid))
+        for stage, kept, kept_bounds in self._stages(batch, ratio, seed):
+            by_blocks = pooling._closure_by_blocks(stage, kept, kept_bounds)
             sparse.validate(by_blocks)
-            assert sparse.equal(by_blocks, pooling._closure_by_sparse(a, kept))
+            assert sparse.equal(by_blocks, pooling._closure_by_sparse(stage.a, kept))
 
     @staticmethod
     def _random_graphs(rng, sizes, p, directed):
@@ -417,11 +409,11 @@ class TestClosureRoutes:
         for name in ("_closure_by_sparse", "_closure_by_blocks"):
             monkeypatch.setattr(pooling, name, recorded(name))
         rng = np.random.default_rng(16)
-        x, a, gid = constant(batch.x), batch.a, batch.graph_id
+        x, stage = constant(batch.x), batch
         for _ in range(stages):
-            result = local_cluster_selection_pool(
-                x, a, fixed_score(rng.normal(size=a.n_rows)), 0.5, gid)
-            x, a, gid = result.x, result.a, result.graph_id
+            stage = local_cluster_selection_pool(
+                x, stage, fixed_score(rng.normal(size=stage.a.n_rows)), 0.5)
+            x = stage.x
         return taken
 
     @pytest.mark.parametrize("kind", ["two_communities", "cycles_vs_paths"])
@@ -440,9 +432,10 @@ class TestClosureRoutes:
         joined = CsrMatrix.from_coo(8, 8, np.append(sparse.row_indices(a), 2),
                                     np.append(a.col_idx, 5), np.ones(a.nnz + 1))
         monkeypatch.setattr(pooling, "_blocks_pay", lambda *_: blocks)
+        # the stage's one check rejects the edge before either route runs
         with pytest.raises(ValueError, match=r"entry \(2, 5\) joins graphs 0 and 1"):
-            local_cluster_selection_pool(constant(batch.x), joined, fixed_score(np.arange(8.0)),
-                                         0.5, batch.graph_id)
+            local_cluster_selection_pool(constant(batch.x), Stage.of(joined, batch.graph_id),
+                                         fixed_score(np.arange(8.0)), 0.5)
 
 
 class TestLcPool:
@@ -457,8 +450,8 @@ class TestLcPool:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 2))
         scorer = self._scorer(2)
-        result = lcpool(constant(x), path4(), scorer, 1.0, single_graph_ids(4))
-        h = scorer(constant(x), path4(), single_graph_ids(4)).values
+        result = lcpool(constant(x), single_graph(path4()), scorer, 1.0)
+        h = scorer(constant(x), single_graph(path4())).values
         assert abs(h.sum() - 1.0) < 1e-12
         assert np.allclose(result.x.values, x * h)
         assert np.array_equal(result.kept.indices, np.arange(4))
@@ -468,7 +461,7 @@ class TestLcPool:
     def test_uniform_cycle_keeps_prefix_and_forms_triangle(self):
         scorer = self._scorer(1, seed=1)
         x = np.ones((6, 1))
-        result = lcpool(constant(x), cycle(6), scorer, 0.5, single_graph_ids(6))
+        result = lcpool(constant(x), single_graph(cycle(6)), scorer, 0.5)
         # identical features on a regular graph give uniform scores: tie-break
         assert np.array_equal(result.kept.indices, [0, 1, 2])
         assert np.array_equal(sparse.to_dense(result.a),
@@ -485,8 +478,8 @@ class TestLcPool:
             asymmetric += not sparse.is_symmetric(a)
             x = constant(rng.normal(size=(n, 2)))
             closure = sparse.hop_closure(a, symmetric=False)
-            for result in (lcpool(x, a, scorer, 0.5, single_graph_ids(n)),
-                           lcpool_star(x, a, conv, scorer, 0.5, single_graph_ids(n))):
+            for result in (lcpool(x, single_graph(a), scorer, 0.5),
+                           lcpool_star(x, single_graph(a), conv, scorer, 0.5)):
                 want = sparse.strip_diagonal(sparse.select_rows_cols(closure, result.kept))
                 assert sparse.equal(result.a, want)
         assert asymmetric > 30
@@ -500,7 +493,7 @@ class TestLcPool:
         proj = rng.normal(size=(3, 2))
 
         def builder():
-            result = lcpool(x, sparse.from_dense(ad), scorer, 0.5, single_graph_ids(6))
+            result = lcpool(x, single_graph(sparse.from_dense(ad)), scorer, 0.5)
             return diff.sum_all(diff.mul(result.x, constant(proj)))
 
         tensors = [p.tensor for p in scorer.parameters()]
@@ -515,8 +508,8 @@ class TestLcPoolStar:
         scorer = Lcsmp(2, rng, "s")
         x = constant([[1.5, -0.5]])
         a = CsrMatrix.empty(1, 1)
-        starred = lcpool_star(x, a, conv, scorer, 1.0, single_graph_ids(1))
-        plain = lcpool(x, a, scorer, 1.0, single_graph_ids(1))
+        starred = lcpool_star(x, single_graph(a), conv, scorer, 1.0)
+        plain = lcpool(x, single_graph(a), scorer, 1.0)
         assert np.allclose(starred.x.values, plain.x.values)
 
     def test_same_kept_set_gives_same_adjacency_pattern(self):
@@ -525,11 +518,10 @@ class TestLcPoolStar:
         x = rng.normal(size=(8, 2))
         conv = GcnConv(2, 2, rng, "v")
         scorer = Lcsmp(2, rng, "s")
-        starred = lcpool_star(constant(x), sparse.from_dense(ad), conv, scorer, 0.5,
-                              single_graph_ids(8))
+        stage = single_graph(sparse.from_dense(ad))
+        starred = lcpool_star(constant(x), stage, conv, scorer, 0.5)
         plain = local_cluster_selection_pool(
-            constant(x), sparse.from_dense(ad),
-            fixed_score(starred.scores.values.ravel()), 0.5, single_graph_ids(8))
+            constant(x), stage, fixed_score(starred.scores.values.ravel()), 0.5)
         assert np.array_equal(starred.kept.indices, plain.kept.indices)
         assert sparse.equal(starred.a, plain.a)
 
@@ -545,8 +537,7 @@ class TestLcPoolStar:
         proj = rng.normal(size=(3, 2))
 
         def builder():
-            result = lcpool_star(x, sparse.from_dense(ad), conv, scorer, 0.5,
-                                 single_graph_ids(6))
+            result = lcpool_star(x, single_graph(sparse.from_dense(ad)), conv, scorer, 0.5)
             return diff.sum_all(diff.mul(result.x, constant(proj)))
 
         tensors = [p.tensor for p in conv.parameters() + scorer.parameters()]
@@ -568,10 +559,10 @@ class TestBatchBehaviour:
             p.tensor.values = rng.normal(size=p.tensor.shape)
         graphs = self._graphs(rng, [5, 3, 7])
         batch = make_batch(graphs)
-        pooled = lcpool(constant(batch.x), batch.a, scorer, 0.5, batch.graph_id)
+        pooled = lcpool(constant(batch.x), batch, scorer, 0.5)
         offset = kept_offset = 0
         for g in graphs:
-            single = lcpool(constant(g.x), g.a, scorer, 0.5, single_graph_ids(g.num_nodes))
+            single = lcpool(constant(g.x), single_graph(g.a), scorer, 0.5)
             k = len(single.kept)
             np.testing.assert_allclose(
                 pooled.x.values[kept_offset : kept_offset + k], single.x.values,
@@ -594,10 +585,10 @@ class TestBatchBehaviour:
             ad = random_adjacency_dense(rng, 8, p=0.4)
             x = rng.normal(size=(8, 2))
             perm = rng.permutation(8)
-            base = lcpool(constant(x), sparse.from_dense(ad), scorer, 0.5,
-                          single_graph_ids(8))
-            permuted = lcpool(constant(x[perm]), sparse.from_dense(ad[np.ix_(perm, perm)]),
-                              scorer, 0.5, single_graph_ids(8))
+            base = lcpool(constant(x), single_graph(sparse.from_dense(ad)), scorer, 0.5)
+            permuted = lcpool(constant(x[perm]),
+                              single_graph(sparse.from_dense(ad[np.ix_(perm, perm)])),
+                              scorer, 0.5)
             # kept identities map through the permutation
             kept_original = set(perm[permuted.kept.indices].tolist())
             assert kept_original == set(base.kept.indices.tolist())
@@ -614,7 +605,7 @@ class TestBatchBehaviour:
             graphs = self._graphs(rng, list(rng.integers(1, 11, size=4)))
             batch = make_batch(graphs)
             scorer = Lcsmp(2, rng, "s")
-            result = lcpool(constant(batch.x), batch.a, scorer, ratio, batch.graph_id)
+            result = lcpool(constant(batch.x), batch, scorer, ratio)
             counts = np.bincount(result.graph_id, minlength=len(graphs))
             expected = [kept_count(ratio, g.num_nodes) for g in graphs]
             assert np.array_equal(counts, expected)

@@ -14,6 +14,7 @@ import pytest
 
 from graphpool import diff, sparse
 from graphpool.diff import Tape, Tensor, backward, constant
+from graphpool.layers import Stage
 from graphpool.sparse import CsrMatrix
 
 
@@ -132,9 +133,9 @@ def test_segment_mean_matches_add_at(case):
     x = constant(rng.normal(size=(seg.size, 4)))
     if seg.size == 0:  # the segment count is the last id + 1, so there must be one
         with pytest.raises(ValueError, match="segment ids are empty"):
-            diff.segment_mean(x, seg)
+            Stage.of(CsrMatrix.empty(0, 0), seg)
         return
-    out = diff.segment_mean(x, seg)
+    out = diff.segment_mean(x, np.concatenate([[0], np.cumsum(lengths)]))
     ref = add_at_rows(lengths.size, seg, x.values) / lengths[:, None]
     assert np.array_equal(out.values, ref)
 
@@ -150,9 +151,10 @@ def test_assignment_reduce_matches_add_at(case):
     x = Tensor(rng.normal(size=(seg.size, 4)))
     if seg.size == 0:  # the segment count is the last id + 1, so there must be one
         with pytest.raises(ValueError, match="segment ids are empty"):
-            diff.assignment_reduce(s, x, seg)
+            Stage.of(CsrMatrix.empty(0, 0), seg)
         return
-    out = diff.assignment_reduce(s, x, seg)
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    out = diff.assignment_reduce(s, x, bounds)
     n = lengths.size
     ref = add_at_rows(n, seg, s.values[:, :, None] * x.values[:, None, :])
     assert_rel_close(out.values, ref.reshape(n * k, 4), 1e-12)
@@ -160,7 +162,7 @@ def test_assignment_reduce_matches_add_at(case):
     # backward against the outer-product einsum formulas
     upstream = rng.normal(size=(n * k, 4))
     with Tape():
-        loss = diff.sum_all(diff.mul(diff.assignment_reduce(s, x, seg), constant(upstream)))
+        loss = diff.sum_all(diff.mul(diff.assignment_reduce(s, x, bounds), constant(upstream)))
     backward(loss)
     g3 = upstream.reshape(n, k, 4)[seg]
     assert_rel_close(s.grad, np.einsum("ncd,nd->nc", g3, x.values), 1e-12)
@@ -190,7 +192,7 @@ def test_segment_max_matches_argmax_loop():
     x = Tensor(xv)
     upstream = rng.normal(size=(lengths.size, 5))
     with Tape():
-        out = diff.segment_max(x, seg)
+        out = diff.segment_max(x, np.concatenate([[0], np.cumsum(lengths)]))
         loss = diff.sum_all(diff.mul(out, constant(upstream)))
     backward(loss)
     vals, argrows = segment_max_loop(xv, seg, lengths.size)

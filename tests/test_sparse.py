@@ -50,7 +50,8 @@ class TestConstruction:
         assert sparse.to_dense(a)[0, 1] == 2.0
 
     def test_from_dense_nan_entry_rejected(self):
-        # |nan| > tol is False, so a NaN must not be mistaken for a dropped zero
+        # np.nonzero counts NaN as non-zero, so the entry is kept and
+        # from_coo's finite check rejects it
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="matrix values must be finite"):
                 sparse.from_dense(np.array([[bad, 1.0], [0.0, 0.0]]))
