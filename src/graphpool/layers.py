@@ -138,30 +138,6 @@ class GraphConv(Module):
         return diff.add(own, agg)
 
 
-def laplacian(a: CsrMatrix) -> CsrMatrix:
-    """D - A for the stored (non-negative) edge weights."""
-    rows = sparse.row_indices(a)
-    deg = np.bincount(rows, weights=a.values, minlength=a.n_rows)
-    diag = np.arange(a.n_rows, dtype=np.int64)
-    return CsrMatrix.from_coo(
-        a.n_rows,
-        a.n_cols,
-        np.concatenate([diag, rows]),
-        np.concatenate([diag, a.col_idx]),
-        np.concatenate([deg, -a.values]),
-    )
-
-
-def laplacian_score(x: Tensor, a: CsrMatrix, w: Parameter) -> Tensor:
-    """Per-node score (L @ X) @ w^T; a plain sum of neighbour differences.
-
-    Kept as a diagnostic: opposite differences cancel before the projection,
-    so distinct neighbourhoods can collapse onto the same score.
-    """
-    h = diff.spmm_const(laplacian(a), x)
-    return diff.linear(h, w.tensor)
-
-
 class Lcsmp(Module):
     """Message-passing score layer over local feature differences.
 

@@ -30,12 +30,6 @@ class PoolResult(Stage):
     kept: IndexSet
     scores: Tensor
 
-    def __post_init__(self):
-        if not (len(self.kept) == self.x.rows == self.a.n_rows == self.a.n_cols):
-            raise ValueError("pooled features, adjacency and kept set disagree")
-        if self.graph_id.shape != (len(self.kept),):
-            raise ValueError("graph ids must align with kept nodes")
-
 
 def check_ratio(ratio: float) -> float:
     if not 0.0 < ratio <= 1.0:

@@ -2,7 +2,10 @@
 
 Every check recomputes its expectation through an independent dense-numpy
 route and compares the library's sparse/tape route against it.  Checks
-return :class:`CheckResult` so callers can print one pass/fail line each.
+take no arguments: each runs one fixed configuration, and trial t of the
+check named c draws its inputs from ``keyed_rng(c, t, ...)`` alone, so a
+failing trial can be rebuilt by itself.  Checks return
+:class:`CheckResult` so callers can print one pass/fail line each.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import numpy as np
 
 from . import diff, harness, pooling, sparse
 from .dataset import make_synthetic
-from .diff import Tape, Tensor, backward, cross_entropy
-from .layers import Lcsmp, Stage, laplacian_score
+from .diff import Parameter, Tape, Tensor, backward, cross_entropy
+from .layers import Lcsmp, Stage
 from .sparse import CsrMatrix, IndexSet
 
 
@@ -30,6 +33,11 @@ class CheckResult:
 
 # ---------------------------------------------------------------------------
 # random inputs
+
+
+def keyed_rng(*key) -> np.random.Generator:
+    """A generator seeded by its key alone, so no draw depends on another."""
+    return np.random.default_rng(list(":".join(map(str, key)).encode()))
 
 
 def random_integer_csr(rng, n_rows, n_cols) -> CsrMatrix:
@@ -62,16 +70,21 @@ def _linear_score(rng, dim):
 # sparse-route vs dense-route checks
 
 
-def check_selection_commutes(trials: int = 500, seed: int = 1) -> CheckResult:
+def commutation_trial(t: int):
+    """Trial t's (S, A, kept set) of the selection-commutation check, drawn
+    from its key alone."""
+    rng = keyed_rng("selection-commutation", t)
+    n = int(rng.integers(1, 41))
+    return random_integer_csr(rng, n, n), random_integer_csr(rng, n, n), random_index_set(rng, n)
+
+
+def check_selection_commutes() -> CheckResult:
     """Selecting assignment columns before or after the product must agree:
     the pools' :func:`pooling.rewire` against the dense S^T A S restricted
     to the kept rows and columns."""
-    rng = np.random.default_rng(seed)
+    trials = 500
     for t in range(trials):
-        n = int(rng.integers(1, 41))
-        s = random_integer_csr(rng, n, n)
-        a = random_integer_csr(rng, n, n)
-        idx = random_index_set(rng, n)
+        s, a, idx = commutation_trial(t)
         via_sparse = pooling.rewire(s, a, idx)
         sd, ad = sparse.to_dense(s), sparse.to_dense(a)
         via_dense = (sd.T @ ad @ sd)[np.ix_(idx.indices, idx.indices)]
@@ -80,10 +93,11 @@ def check_selection_commutes(trials: int = 500, seed: int = 1) -> CheckResult:
     return CheckResult("selection-commutation", True, f"{trials} random triples exact")
 
 
-def check_identity_assignment(trials: int = 200, seed: int = 2) -> CheckResult:
+def check_identity_assignment() -> CheckResult:
     """Identity assignment must reduce to plain node selection bit-exactly."""
-    rng = np.random.default_rng(seed)
+    trials = 200
     for t in range(trials):
+        rng = keyed_rng("identity-assignment", t)
         n = int(rng.integers(2, 16))
         d = int(rng.integers(1, 5))
         a = random_adjacency(rng, n)
@@ -140,14 +154,14 @@ def _check_block_route(trials) -> bool:
     return np.array_equal(sparse.to_dense(got) != 0, want)
 
 
-def check_closure_pattern(trials: int = 200, seed: int = 3) -> CheckResult:
+def check_closure_pattern() -> CheckResult:
     """Three-hop closure and the pools' rewire vs the dense (I+A)^T A (I+A)
     oracle; the pool's block route runs on batches of 8 trials."""
-    batch = 8
-    rng = np.random.default_rng(seed)
+    trials, batch = 200, 8
     for directed in (False, True):
         pending = []
         for t in range(trials):
+            rng = keyed_rng("closure-pattern", t, "directed" if directed else "undirected")
             n = int(rng.integers(1, 21))
             a = random_adjacency(rng, n, directed=directed)
             idx = random_index_set(rng, n)
@@ -186,12 +200,13 @@ def check_closure_pattern(trials: int = 200, seed: int = 3) -> CheckResult:
     )
 
 
-def check_contributor_connectivity(trials: int = 200, seed: int = 4) -> CheckResult:
+def check_contributor_connectivity() -> CheckResult:
     """Kept nodes with connected contributors must gain an edge, and every
     original edge between kept nodes must survive."""
-    rng = np.random.default_rng(seed)
     pair_hits = pair_total = edge_hits = edge_total = 0
-    for _ in range(trials):
+    first_miss = None
+    for t in range(200):
+        rng = keyed_rng("contributor-connectivity", t)
         n = int(rng.integers(2, 16))
         a = random_adjacency(rng, n)
         # strict-local assignment: positive weight everywhere on I + A
@@ -213,33 +228,39 @@ def check_contributor_connectivity(trials: int = 200, seed: int = 4) -> CheckRes
         original = ad[np.ix_(kept, kept)] != 0
         edge_total += int(original.sum())
         edge_hits += int(np.sum(original & pooled))
-    passed = pair_hits == pair_total and edge_hits == edge_total
-    return CheckResult(
-        "contributor-connectivity", passed,
-        f"{pair_hits}/{pair_total} connected pairs wired, "
-        f"{edge_hits}/{edge_total} original edges kept",
-    )
+        if first_miss is None and (pair_hits, edge_hits) != (pair_total, edge_total):
+            first_miss = t
+    detail = (f"{pair_hits}/{pair_total} connected pairs wired, "
+              f"{edge_hits}/{edge_total} original edges kept")
+    if first_miss is not None:
+        detail += f", first miss at trial {first_miss}"
+    return CheckResult("contributor-connectivity", first_miss is None, detail)
 
 
 # ---------------------------------------------------------------------------
 # gradient checking
 
 
-def finite_difference(loss_fn, tensor: Tensor, eps: float = 1e-5) -> np.ndarray:
+# central-difference step, and the |fd| at or below which an element is skipped
+_FD_EPS = 1e-5
+_FD_FLOOR = 1e-8
+
+
+def finite_difference(loss_fn, tensor: Tensor) -> np.ndarray:
     """Central differences of a scalar-returning forward wrt one tensor."""
     fd = np.zeros_like(tensor.values)
     for idx in np.ndindex(*tensor.values.shape):
         orig = tensor.values[idx]
-        tensor.values[idx] = orig + eps
+        tensor.values[idx] = orig + _FD_EPS
         up = loss_fn()
-        tensor.values[idx] = orig - eps
+        tensor.values[idx] = orig - _FD_EPS
         down = loss_fn()
         tensor.values[idx] = orig
-        fd[idx] = (up - down) / (2.0 * eps)
+        fd[idx] = (up - down) / (2.0 * _FD_EPS)
     return fd
 
 
-def _worst_element(loss_builder, tensors, eps: float, fd_floor: float):
+def _worst_element(loss_builder, tensors):
     """(rel err, tensor position, element index, |tape gradient|) of the
     element where tape and finite-difference gradients differ most."""
     for t in tensors:
@@ -250,8 +271,8 @@ def _worst_element(loss_builder, tensors, eps: float, fd_floor: float):
     worst = (0.0, None, None, 0.0)
     for i, t in enumerate(tensors):
         grad = np.zeros_like(t.values) if t.grad is None else t.grad
-        fd = finite_difference(lambda: loss_builder().values[0, 0], t, eps)
-        mask = np.abs(fd) > fd_floor
+        fd = finite_difference(lambda: loss_builder().values[0, 0], t)
+        mask = np.abs(fd) > _FD_FLOOR
         rel = np.divide(np.abs(fd - grad), np.maximum(np.abs(fd), np.abs(grad)),
                         out=np.zeros_like(fd), where=mask)
         idx = np.unravel_index(np.argmax(rel), rel.shape)
@@ -260,19 +281,13 @@ def _worst_element(loss_builder, tensors, eps: float, fd_floor: float):
     return worst
 
 
-def gradient_max_rel_err(loss_builder, tensors, eps: float = 1e-5,
-                         fd_floor: float = 1e-8) -> float:
+def gradient_max_rel_err(loss_builder, tensors) -> float:
     """Max relative error between tape and finite-difference gradients.
 
     loss_builder() must rebuild the forward pass from current tensor values
-    and return the loss Tensor.  Elements with |fd| <= fd_floor are skipped.
+    and return the loss Tensor.  Elements with |fd| <= _FD_FLOOR are skipped.
     """
-    return _worst_element(loss_builder, tensors, eps, fd_floor)[0]
-
-
-def keyed_rng(*key) -> np.random.Generator:
-    """A generator seeded by its key alone, so no draw depends on another."""
-    return np.random.default_rng(list(":".join(map(str, key)).encode()))
+    return _worst_element(loss_builder, tensors)[0]
 
 
 # Fixed structures of the primitive cases.  The unsorted, duplicated edge
@@ -355,16 +370,16 @@ _GRAD_CONFIGS = (
 )
 
 
-def _set_probe_values(params, seed: int, config_name: str) -> None:
+def _set_probe_values(params, *key) -> None:
     """Move each parameter to a generic point, 0.5 * normal keyed by
-    (seed, config name, parameter name).
+    (*key, parameter name).
 
     Moderate random weights keep relu kinks and selection boundaries far
     beyond the probe step without saturating the softmax into vanishing
     gradients.
     """
     for p in params:
-        p.tensor.values = 0.5 * keyed_rng(seed, config_name, p.name).normal(size=p.tensor.shape)
+        p.tensor.values = 0.5 * keyed_rng(*key, p.name).normal(size=p.tensor.shape)
 
 
 def _gradient_cases(seed):
@@ -383,14 +398,14 @@ def _gradient_cases(seed):
         yield name, builder, [p.tensor for p in params], [p.name for p in params]
 
 
-def check_gradients(seed: int = 5, tol: float = 1e-4) -> CheckResult:
+def check_gradients() -> CheckResult:
     """Primitives and four end-to-end models vs central finite differences."""
     worst, where = 0.0, ""
-    for name, builder, tensors, labels in _gradient_cases(seed):
-        err, i, idx, g = _worst_element(builder, tensors, eps=1e-5, fd_floor=1e-8)
+    for name, builder, tensors, labels in _gradient_cases(5):
+        err, i, idx, g = _worst_element(builder, tensors)
         if err > worst:
             worst, where = err, f"{name}, {labels[i]}{list(idx)}, |g| {g:.1e}"
-        if err > tol:
+        if err > 1e-4:
             return CheckResult("gradient-suite", False, f"rel err {err:.2e} ({where})")
     return CheckResult("gradient-suite", True, f"worst rel err {worst:.2e} ({where})")
 
@@ -411,11 +426,54 @@ def _star_pair():
     return a, xa, xb
 
 
-def check_score_separation(draws: int = 100, seed: int = 6) -> CheckResult:
-    """The linear difference score collapses the star pair; the nonlinear
-    message-passing score must separate it for almost all parameter draws."""
+def laplacian(a: CsrMatrix) -> CsrMatrix:
+    """D - A for the stored (non-negative) edge weights."""
+    rows = sparse.row_indices(a)
+    deg = np.bincount(rows, weights=a.values, minlength=a.n_rows)
+    diag = np.arange(a.n_rows, dtype=np.int64)
+    return CsrMatrix.from_coo(
+        a.n_rows,
+        a.n_cols,
+        np.concatenate([diag, rows]),
+        np.concatenate([diag, a.col_idx]),
+        np.concatenate([deg, -a.values]),
+    )
+
+
+def laplacian_score(x: Tensor, a: CsrMatrix, w: Parameter) -> Tensor:
+    """Per-node score (L @ X) @ w^T; a plain sum of neighbour differences.
+
+    The diagnostic the separation check contrasts with Lcsmp: opposite
+    differences cancel before the projection, so distinct neighbourhoods
+    can collapse onto the same score.
+    """
+    h = diff.spmm_const(laplacian(a), x)
+    return diff.linear(h, w.tensor)
+
+
+def separates_star_pair(*key) -> bool:
+    """Whether an Lcsmp scorer (hidden 4) whose parameters are probe values
+    keyed by (*key, parameter name) scores the two star centres more than
+    1e-6 apart."""
     a, xa, xb = _star_pair()
-    w = diff.Parameter("w", np.ones((1, 1)))
+    scorer = Lcsmp(1, keyed_rng(*key), "probe", hidden=4)
+    _set_probe_values(scorer.parameters(), *key)
+    sa = scorer.pre_softmax(diff.constant(xa), a).values[0, 0]
+    sb = scorer.pre_softmax(diff.constant(xb), a).values[0, 0]
+    return abs(sa - sb) > 1e-6
+
+
+def check_score_separation() -> CheckResult:
+    """The linear difference score collapses the star pair; the nonlinear
+    message-passing score must separate it for almost all parameter draws.
+
+    Over 20,000 draws keyed apart from the check's own ("separation-rate",
+    d), Lcsmp separated the pair in 19,041 (p = 0.952).  The threshold 920
+    of 1000 draws sits 32 below 1000 p, 4.7 binomial standard deviations
+    (6.76 each), so it fails on the scorer, not on draw order.
+    """
+    a, xa, xb = _star_pair()
+    w = Parameter("w", np.ones((1, 1)))
     score_a = laplacian_score(diff.constant(xa), a, w).values[0, 0]
     score_b = laplacian_score(diff.constant(xb), a, w).values[0, 0]
     if score_a != 0.0 or score_b != 0.0:
@@ -423,19 +481,11 @@ def check_score_separation(draws: int = 100, seed: int = 6) -> CheckResult:
             "score-separation", False,
             f"linear scores should both cancel to zero, got {score_a}, {score_b}",
         )
-    rng = np.random.default_rng(seed)
-    separated = 0
-    for _ in range(draws):
-        scorer = Lcsmp(1, rng, "probe", hidden=4)
-        for p in scorer.parameters():
-            p.tensor.values = rng.normal(size=p.tensor.shape)
-        sa = scorer.pre_softmax(diff.constant(xa), a).values[0, 0]
-        sb = scorer.pre_softmax(diff.constant(xb), a).values[0, 0]
-        if abs(sa - sb) > 1e-6:
-            separated += 1
+    draws, need = 1000, 920
+    separated = sum(separates_star_pair("score-separation", d) for d in range(draws))
     return CheckResult(
-        "score-separation", separated >= 95,
-        f"{separated}/{draws} draws separate the pair (need >= 95)",
+        "score-separation", separated >= need,
+        f"{separated}/{draws} draws separate the pair (need >= {need})",
     )
 
 
@@ -459,7 +509,7 @@ RANKING_FIXTURE = {
 }
 
 
-def check_ranking_fixture(tol: float = 0.01) -> CheckResult:
+def check_ranking_fixture() -> CheckResult:
     """Average ranks of the fixture table; lcpool must land on 2.33."""
     means = {
         ("hierarchical/gcn", ds, pool): acc
@@ -469,19 +519,20 @@ def check_ranking_fixture(tol: float = 0.01) -> CheckResult:
     table = harness.rank_table(means)
     got = table.average_rank[("hierarchical/gcn", "lcpool")]
     mincut = table.average_rank[("hierarchical/gcn", "mincutpool")]
-    passed = abs(got - 2.33) <= tol and abs(mincut - 4.17) <= tol
+    passed = abs(got - 2.33) <= 0.01 and abs(mincut - 4.17) <= 0.01
     return CheckResult(
         "ranking-fixture", passed,
         f"lcpool average rank {got:.4f} (want 2.33), mincutpool {mincut:.4f} (want 4.17)",
     )
 
 
-def check_size_adaptivity(trials: int = 50, seed: int = 8) -> CheckResult:
+def check_size_adaptivity() -> CheckResult:
     """Per-graph kept counts must equal max(1, ceil(ratio * n)) exactly."""
-    rng = np.random.default_rng(seed)
     from .dataset import Graph, make_batch
 
-    for _ in range(trials):
+    trials = 50
+    for t in range(trials):
+        rng = keyed_rng("size-adaptivity", t)
         sizes = rng.integers(1, 12, size=int(rng.integers(1, 5)))
         ratio = float(rng.choice([0.2, 0.5, 0.8, 1.0]))
         graphs = [
@@ -490,22 +541,24 @@ def check_size_adaptivity(trials: int = 50, seed: int = 8) -> CheckResult:
         ]
         batch = make_batch(graphs)
         scorer = Lcsmp(2, rng, "probe")
+        _set_probe_values(scorer.parameters(), "size-adaptivity", t)
         result = pooling.lcpool(diff.constant(batch.x), batch, scorer, ratio)
         counts = np.bincount(result.graph_id, minlength=len(sizes))
         expected = pooling.kept_count(ratio, sizes)
         if not np.array_equal(counts, expected):
-            return CheckResult("size-adaptivity", False, f"counts {counts} != {expected}")
+            return CheckResult("size-adaptivity", False,
+                               f"trial {t}: counts {counts} != {expected}")
     return CheckResult("size-adaptivity", True, f"{trials} random batches match the formula")
 
 
-def check_synthetic_learning(runs: int = 3, seed: int = 0, max_epochs: int = 200,
-                             n_graphs: int = 200) -> CheckResult:
-    """Ring-vs-path classification must reach mean test accuracy >= 0.90."""
-    dataset = make_synthetic("cycles_vs_paths", n_graphs, seed=11)
-    cfg = harness.TrainConfig(max_epochs=max_epochs, seed=seed)
+def check_synthetic_learning() -> CheckResult:
+    """Ring-vs-path classification must reach mean test accuracy >= 0.90
+    over three runs of 200 epochs on 200 graphs."""
+    runs = 3
+    dataset = make_synthetic("cycles_vs_paths", 200, seed=11)
     records = harness.evaluate_suite(
         [harness.ModelConfig(backbone="hierarchical", pool="lcpool")],
-        dataset, runs, cfg,
+        dataset, runs, harness.TrainConfig(max_epochs=200, seed=0),
     )
     accs = [r.test_accuracy for r in records]
     times = [r.wall_time for r in records]

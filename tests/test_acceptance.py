@@ -25,35 +25,35 @@ def report(number, result, elapsed=None):
     return result
 
 
-def timed(check, *args, **kwargs):
+def timed(check):
     start = time.perf_counter()
-    result = check(*args, **kwargs)
+    result = check()
     return result, time.perf_counter() - start
 
 
 def test_01_selection_commutation_500_triples():
-    result, elapsed = timed(selfcheck.check_selection_commutes, trials=500)
+    result, elapsed = timed(selfcheck.check_selection_commutes)
     report(1, result, elapsed)
     assert result.passed, result.detail
     assert elapsed < 10.0, f"took {elapsed:.1f}s (budget 10s)"
 
 
 def test_02_identity_assignment_equivalence_200_graphs():
-    result, elapsed = timed(selfcheck.check_identity_assignment, trials=200)
+    result, elapsed = timed(selfcheck.check_identity_assignment)
     report(2, result, elapsed)
     assert result.passed, result.detail
     assert elapsed < 10.0, f"took {elapsed:.1f}s (budget 10s)"
 
 
 def test_03_closure_pattern_suite_400_graphs():
-    result, elapsed = timed(selfcheck.check_closure_pattern, trials=200)
+    result, elapsed = timed(selfcheck.check_closure_pattern)
     report(3, result, elapsed)
     assert result.passed, result.detail
     assert elapsed < 30.0, f"took {elapsed:.1f}s (budget 30s)"
 
 
 def test_04_contributor_connectivity_is_total():
-    result, elapsed = timed(selfcheck.check_contributor_connectivity, trials=200)
+    result, elapsed = timed(selfcheck.check_contributor_connectivity)
     report(4, result, elapsed)
     assert result.passed, result.detail
 
@@ -66,24 +66,23 @@ def test_05_gradient_suite_primitives_and_models():
 
 
 def test_06_linear_score_cancels_but_nonlinear_separates():
-    result, elapsed = timed(selfcheck.check_score_separation, draws=100)
+    result, elapsed = timed(selfcheck.check_score_separation)
     report(6, result, elapsed)
     assert result.passed, result.detail
+    assert elapsed < 10.0, f"took {elapsed:.1f}s (budget 10s)"
 
 
 @pytest.mark.slow
 def test_07_desk_scale_learning_reaches_090():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result, elapsed = timed(
-            selfcheck.check_synthetic_learning, runs=3, max_epochs=200, n_graphs=200
-        )
+        result, elapsed = timed(selfcheck.check_synthetic_learning)
     report(7, result, elapsed)
     assert result.passed, result.detail
 
 
 def test_08_ranking_fixture_hits_233():
-    result, elapsed = timed(selfcheck.check_ranking_fixture, tol=0.01)
+    result, elapsed = timed(selfcheck.check_ranking_fixture)
     report(8, result, elapsed)
     assert result.passed, result.detail
 
@@ -114,6 +113,6 @@ def test_09_optional_benchmark_comparison_reported():
 
 
 def test_10_size_adaptivity_formula_holds():
-    result, elapsed = timed(selfcheck.check_size_adaptivity, trials=50)
+    result, elapsed = timed(selfcheck.check_size_adaptivity)
     report(10, result, elapsed)
     assert result.passed, result.detail

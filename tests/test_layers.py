@@ -13,10 +13,9 @@ from graphpool.layers import (
     Module,
     Stage,
     gcn_normalized,
-    laplacian,
-    laplacian_score,
     readout,
 )
+from graphpool.selfcheck import laplacian, laplacian_score
 from graphpool.sparse import CsrMatrix
 
 
