@@ -91,7 +91,6 @@ def make_batch(graphs: list[Graph]) -> GraphBatch:
     col_idx = np.concatenate([g.a.col_idx for g in graphs]) + np.repeat(bounds[:-1], nnzs)
     return GraphBatch(
         a=CsrMatrix(total, total, row_ptr, col_idx, np.ones(col_idx.size)),
-        graph_id=np.repeat(np.arange(len(graphs), dtype=np.int64), sizes),
         bounds=bounds,
         x=np.vstack([g.x for g in graphs]),
         labels=np.array([g.label for g in graphs], dtype=np.int64),

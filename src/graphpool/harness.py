@@ -131,7 +131,8 @@ class LcPool(Module):
         self.ratio = ratio
 
     def __call__(self, x, a, graph_id):
-        return pooling.lcpool(x, Stage.of(a, graph_id), self.scorer, self.ratio)
+        stage = Stage.of(a, graph_id)
+        return pooling.lcpool(x, stage, self.scorer(x, stage), self.ratio)
 
 
 class LcPoolStar(Module):

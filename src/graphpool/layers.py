@@ -76,12 +76,11 @@ def gcn_normalized(a: CsrMatrix) -> CsrMatrix:
 @dataclass(frozen=True, eq=False)
 class Stage:
     """A block-diagonal batch of graphs: graph g owns the rows bounds[g] ..
-    bounds[g + 1] - 1, graph_id[i] is the graph of node i, and no entry of a
-    joins two graphs.  The constructor trusts its arrays, as batching and
-    the pools build them; :meth:`of` checks a partition from elsewhere."""
+    bounds[g + 1] - 1, and no entry of a joins two graphs.  The constructor
+    trusts its extents, as batching and the pools build them; :meth:`of`
+    checks a partition from elsewhere."""
 
     a: CsrMatrix
-    graph_id: np.ndarray
     bounds: np.ndarray
 
     @staticmethod
@@ -104,7 +103,12 @@ class Stage:
         if cross.size:
             i, j = int(rows[cross[0]]), int(a.col_idx[cross[0]])
             raise ValueError(f"adjacency entry ({i}, {j}) joins graphs {gid[i]} and {gid[j]}")
-        return Stage(a, gid, bounds)
+        return Stage(a, bounds)
+
+    @functools.cached_property
+    def graph_id(self) -> np.ndarray:
+        """graph_id[i] is the graph of node i, formed from bounds on first use."""
+        return np.repeat(np.arange(self.bounds.size - 1, dtype=np.int64), np.diff(self.bounds))
 
     @functools.cached_property
     def a_hat(self) -> CsrMatrix:

@@ -1,13 +1,14 @@
 """Pooled-graph generation strategies.
 
 Every operator takes features on a :class:`~graphpool.layers.Stage` and
-returns a :class:`PoolResult`, the next stage, whose graph ids and extents
-are built, not checked, with the pooled features, kept node ids and the
-full-length score column.  The caller computes the score column or the
-assignment and passes it as a value.  The one exception is
-:func:`local_assignment_selection_pool`, which scores the aggregated
-features ``S^T x`` it forms itself and so takes a score function
-``(x, stage) -> one score per node``.
+returns a :class:`PoolResult`, the next stage, whose extents are built, not
+checked, with the pooled features; a selection pool adds its kept node ids
+and full-length score column.  The caller computes the score column or the
+assignment and passes it as a value.  Two entries take callables instead:
+:func:`local_assignment_selection_pool` scores the aggregated features
+``S^T x`` it forms itself, so it takes a score function ``(x, stage) -> one
+score per node``, and :func:`lcpool_star` takes its cluster convolution and
+its scorer, because the score is computed on the convolved features.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from .sparse import CsrMatrix, IndexSet
 
 @dataclass(frozen=True, eq=False)
 class PoolResult(Stage):
-    """The pooled stage, with its features, kept node ids and scores."""
+    """The pooled stage with its features, and a selection's kept node ids
+    and score column (both None after the dense pool)."""
 
     x: Tensor
-    kept: IndexSet
-    scores: Tensor
+    kept: IndexSet | None
+    scores: Tensor | None
 
 
 def check_ratio(ratio: float) -> float:
@@ -71,10 +73,10 @@ def _select_and_gate(x_star: Tensor, h: Tensor, stage: Stage, ratio: float,
     pooled graph's adjacency.
     """
     kept = topk(h, stage, ratio)
-    graph_id = stage.graph_id[kept.indices]
-    bounds = sparse.row_extents(graph_id, stage.bounds.size - 1)
+    # kept is sorted, so graph g's kept nodes start after those below its first row
+    bounds = np.searchsorted(kept.indices, stage.bounds)
     gated = diff.broadcast_col(x_star, h)
-    return PoolResult(a=pooled_adjacency(kept, bounds), graph_id=graph_id, bounds=bounds,
+    return PoolResult(a=pooled_adjacency(kept, bounds), bounds=bounds,
                       x=diff.gather_rows(gated, kept.indices), kept=kept, scores=h)
 
 
@@ -110,9 +112,8 @@ def dense_assignment_pool(x: Tensor, stage: Stage, s: Tensor) -> PoolResult:
     rows, cols = np.nonzero(blocks)
     pooled_a = CsrMatrix(n_pooled, n_pooled, sparse.row_extents(rows, n_pooled),
                          rows - rows % k + cols, blocks[rows, cols])
-    return PoolResult(a=pooled_a, graph_id=np.repeat(np.arange(n_graphs, dtype=np.int64), k),
-                      bounds=np.arange(n_graphs + 1, dtype=np.int64) * k, x=pooled_x,
-                      kept=IndexSet.all(n_pooled), scores=diff.constant(np.ones((x.rows, 1))))
+    return PoolResult(a=pooled_a, bounds=np.arange(n_graphs + 1, dtype=np.int64) * k,
+                      x=pooled_x, kept=None, scores=None)
 
 
 def _pattern_keys(m: CsrMatrix) -> np.ndarray:
@@ -158,9 +159,9 @@ def local_assignment_selection_pool(
                             lambda kept, _: rewire(s, stage.a, kept))
 
 
-# local_cluster_selection_pool takes the block route when its padded
-# multiply-adds F are at most this many times P, the products the sparse
-# route expands in its first spgemm, and the two spgemm otherwise.  Picked
+# lcpool takes the block route when its padded multiply-adds F are at most
+# this many times P, the products the sparse route expands in its first
+# spgemm, and the two spgemm otherwise.  Picked
 # from twelve hierarchical lcpool stages on desk batches and on hand-built
 # batches of 300-620-node ring-plus-chord graphs: the blocks were faster on
 # every stage up to F/P = 625, the spgemm on every stage from F/P = 8,263.
@@ -236,15 +237,17 @@ def _closure_pattern(stage: Stage, kept: IndexSet, kept_bounds: np.ndarray) -> C
     return _closure_by_sparse(stage.a, kept)
 
 
-def local_cluster_selection_pool(x: Tensor, stage: Stage, h: Tensor, ratio: float) -> PoolResult:
-    """Local assignment selection specialized to the full 1-hop pattern.
+def lcpool(x: Tensor, stage: Stage, h: Tensor, ratio: float) -> PoolResult:
+    """Local cluster pooling: select by the score column h, then rewire.
 
-    Every node contributes to exactly itself and its neighbours, so the
-    assignment is the pattern of I + A and no matrix is learned: x are the
-    cluster features already, gated by their score column h as they are.
-    The pooled adjacency is the pattern of :func:`rewire` over I + A, which
-    is the three-hop closure ``(I+A)^T A (I+A)`` on the kept nodes, directed
-    or not, with its self-loops stripped.  Only that pattern leaves the
+    Local assignment selection specialized to the full 1-hop pattern: every
+    node contributes to exactly itself and its neighbours, so the
+    assignment is the pattern of I + A and no matrix is learned.  A 1-hop
+    convolution ahead of the pool already plays the cluster role, so x are
+    the cluster features and are gated by h as they are.  The pooled
+    adjacency is the pattern of :func:`rewire` over I + A, which is the
+    three-hop closure ``(I+A)^T A (I+A)`` on the kept nodes, directed or
+    not, with its self-loops stripped.  Only that pattern leaves the
     routine, so it takes one of two exact routes per call: per-graph dense
     0/1 blocks, two batched matmuls over a (G, m, m) stack, when their
     multiply-adds F are at most ``BLOCK_ROUTE_FACTOR`` (2048) times the
@@ -259,18 +262,9 @@ def local_cluster_selection_pool(x: Tensor, stage: Stage, h: Tensor, ratio: floa
                             lambda kept, bounds: _closure_pattern(stage, kept, bounds))
 
 
-def lcpool(x: Tensor, stage: Stage, scorer: Lcsmp, ratio: float) -> PoolResult:
-    """Local cluster pooling: the cluster step is dismissed entirely.
-
-    A 1-hop convolution ahead of the pool already plays the cluster role,
-    so the raw features are gated by the score directly.  The pooled
-    adjacency is formed as :func:`local_cluster_selection_pool` states.
-    """
-    return local_cluster_selection_pool(x, stage, scorer(x, stage), ratio)
-
-
 def lcpool_star(x: Tensor, stage: Stage, cluster_conv: GcnConv, scorer: Lcsmp,
                 ratio: float) -> PoolResult:
     """:func:`lcpool` on the features convolved by an explicit cluster
     function, which are both scored and gated."""
-    return lcpool(cluster_conv(x, stage), stage, scorer, ratio)
+    x_star = cluster_conv(x, stage)
+    return lcpool(x_star, stage, scorer(x_star, stage), ratio)

@@ -542,7 +542,8 @@ def check_size_adaptivity() -> CheckResult:
         batch = make_batch(graphs)
         scorer = Lcsmp(2, rng, "probe")
         _set_probe_values(scorer.parameters(), "size-adaptivity", t)
-        result = pooling.lcpool(diff.constant(batch.x), batch, scorer, ratio)
+        x = diff.constant(batch.x)
+        result = pooling.lcpool(x, batch, scorer(x, batch), ratio)
         counts = np.bincount(result.graph_id, minlength=len(sizes))
         expected = pooling.kept_count(ratio, sizes)
         if not np.array_equal(counts, expected):

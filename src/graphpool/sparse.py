@@ -64,10 +64,6 @@ class IndexSet:
     def __len__(self) -> int:
         return int(self.indices.size)
 
-    @staticmethod
-    def all(n: int) -> "IndexSet":
-        return IndexSet(np.arange(n, dtype=np.int64))
-
 
 @dataclass(frozen=True, eq=False)
 class CsrMatrix:

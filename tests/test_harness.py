@@ -195,20 +195,27 @@ class TestStages:
             batch = make_batch(graphs)
             model = build_model(ModelConfig(pool=pool, **TINY), 3, 2, seed=trial,
                                 mean_nodes=float(sizes.mean()))
-            stages = [batch]
+            assert np.array_equal(batch.bounds, np.concatenate([[0], np.cumsum(sizes)]))
+            built = []
 
-            def recorded(p):
+            def checked(p):
+                # each stage's extents against counts taken apart from them,
+                # before the next pool reads them: k per graph, or the graph
+                # of every kept node under the ids the pool was called with
                 def call(x, a, graph_id):
-                    stages.append(p(x, a, graph_id))
-                    return stages[-1]
+                    stage = p(x, a, graph_id)
+                    if stage.kept is None:
+                        want = np.arange(sizes.size + 1) * p.k_clusters
+                    else:
+                        want = sparse.row_extents(graph_id[stage.kept.indices], sizes.size)
+                    assert np.array_equal(stage.bounds, want)
+                    built.append(stage)
+                    return stage
                 return call
 
-            model.pools = [recorded(p) for p in model.pools]
+            model.pools = [checked(p) for p in model.pools]
             model.forward(batch)
-            assert len(stages) == 1 + harness.N_BLOCKS
-            for stage in stages:
-                want = sparse.row_extents(stage.graph_id, sizes.size)
-                assert np.array_equal(stage.bounds, want)
+            assert len(built) == harness.N_BLOCKS
 
 
 class TestEarlyStoppingRules:

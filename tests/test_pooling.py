@@ -12,7 +12,6 @@ from graphpool.pooling import (
     lcpool,
     lcpool_star,
     local_assignment_selection_pool,
-    local_cluster_selection_pool,
     node_selection_pool,
     topk,
     validate_local_assignment,
@@ -115,6 +114,11 @@ class TestDenseAssignment:
                                        constant(np.eye(4)))
         assert np.allclose(result.x.values, x)
         assert np.array_equal(sparse.to_dense(result.a), sparse.to_dense(path4()))
+
+    def test_result_has_no_kept_set_or_scores(self):
+        result = dense_assignment_pool(constant(np.eye(4)), single_graph(path4()),
+                                       constant(np.full((4, 2), 0.5)))
+        assert result.kept is None and result.scores is None
 
     def test_single_cluster_collapses_to_empty(self):
         result = dense_assignment_pool(
@@ -301,9 +305,8 @@ class TestLocalClusterSelection:
             star = sparse.add_self_loops(a)
             via_assignment = local_assignment_selection_pool(
                 constant(x), single_graph(a), star, lambda *_: score, ratio)
-            via_cluster = local_cluster_selection_pool(
-                diff.spmm_const(sparse.transpose(star), constant(x)), single_graph(a),
-                score, ratio)
+            via_cluster = lcpool(diff.spmm_const(sparse.transpose(star), constant(x)),
+                                 single_graph(a), score, ratio)
             kept = via_cluster.kept
             assert len(kept) == kept_count(ratio, n)
             assert np.array_equal(via_assignment.kept.indices, kept.indices)
@@ -314,18 +317,15 @@ class TestLocalClusterSelection:
             assert sparse.equal(literal, via_cluster.a)
 
     def test_path_endpoints_reconnect_within_three_hops(self):
-        result = local_cluster_selection_pool(
-            constant(np.eye(4)), single_graph(path4()),
-            fixed_score([1.0, 0.0, 0.0, 1.0]), 0.5)
+        result = lcpool(constant(np.eye(4)), single_graph(path4()),
+                        fixed_score([1.0, 0.0, 0.0, 1.0]), 0.5)
         assert np.array_equal(result.kept.indices, [0, 3])
         assert np.array_equal(sparse.to_dense(result.a), [[0, 1], [1, 0]])
 
     def test_weighted_adjacency_rejected(self):
         weighted = CsrMatrix.from_coo(2, 2, [0, 1], [1, 0], [2.0, 2.0])
         with pytest.raises(ValueError, match="unweighted"):
-            local_cluster_selection_pool(
-                constant(np.eye(2)), single_graph(weighted),
-                fixed_score([1.0, 0.0]), 1.0)
+            lcpool(constant(np.eye(2)), single_graph(weighted), fixed_score([1.0, 0.0]), 1.0)
 
 
 class TestClosureRoutes:
@@ -342,7 +342,7 @@ class TestClosureRoutes:
             gid = stage.graph_id[kept.indices]
             kept_bounds = sparse.row_extents(gid, stage.bounds.size - 1)
             yield stage, kept, kept_bounds
-            stage = Stage(pooling._closure_by_sparse(stage.a, kept), gid, kept_bounds)
+            stage = Stage(pooling._closure_by_sparse(stage.a, kept), kept_bounds)
 
     def _assert_routes_agree(self, batch, ratio, seed):
         for stage, kept, kept_bounds in self._stages(batch, ratio, seed):
@@ -411,8 +411,7 @@ class TestClosureRoutes:
         rng = np.random.default_rng(16)
         x, stage = constant(batch.x), batch
         for _ in range(stages):
-            stage = local_cluster_selection_pool(
-                x, stage, fixed_score(rng.normal(size=stage.a.n_rows)), 0.5)
+            stage = lcpool(x, stage, fixed_score(rng.normal(size=stage.a.n_rows)), 0.5)
             x = stage.x
         return taken
 
@@ -434,8 +433,8 @@ class TestClosureRoutes:
         monkeypatch.setattr(pooling, "_blocks_pay", lambda *_: blocks)
         # the stage's one check rejects the edge whichever closure route would run
         with pytest.raises(ValueError, match=r"entry \(2, 5\) joins graphs 0 and 1"):
-            local_cluster_selection_pool(constant(batch.x), Stage.of(joined, batch.graph_id),
-                                         fixed_score(np.arange(8.0)), 0.5)
+            lcpool(constant(batch.x), Stage.of(joined, batch.graph_id),
+                   fixed_score(np.arange(8.0)), 0.5)
 
 
 class TestLcPool:
@@ -448,20 +447,22 @@ class TestLcPool:
 
     def test_ratio_one_gates_and_closes(self):
         rng = np.random.default_rng(6)
-        x = rng.normal(size=(4, 2))
+        x = constant(rng.normal(size=(4, 2)))
         scorer = self._scorer(2)
-        result = lcpool(constant(x), single_graph(path4()), scorer, 1.0)
-        h = scorer(constant(x), single_graph(path4())).values
-        assert abs(h.sum() - 1.0) < 1e-12
-        assert np.allclose(result.x.values, x * h)
+        stage = single_graph(path4())
+        h = scorer(x, stage)
+        result = lcpool(x, stage, h, 1.0)
+        assert abs(h.values.sum() - 1.0) < 1e-12
+        assert np.allclose(result.x.values, x.values * h.values)
         assert np.array_equal(result.kept.indices, np.arange(4))
         closure = sparse.strip_diagonal(sparse.hop_closure(path4(), symmetric=True))
         assert sparse.equal(result.a, closure)
 
     def test_uniform_cycle_keeps_prefix_and_forms_triangle(self):
         scorer = self._scorer(1, seed=1)
-        x = np.ones((6, 1))
-        result = lcpool(constant(x), single_graph(cycle(6)), scorer, 0.5)
+        x = constant(np.ones((6, 1)))
+        stage = single_graph(cycle(6))
+        result = lcpool(x, stage, scorer(x, stage), 0.5)
         # identical features on a regular graph give uniform scores: tie-break
         assert np.array_equal(result.kept.indices, [0, 1, 2])
         assert np.array_equal(sparse.to_dense(result.a),
@@ -477,9 +478,10 @@ class TestLcPool:
             a = sparse.from_dense(random_adjacency_dense(rng, n, p=0.35, directed=True))
             asymmetric += not sparse.is_symmetric(a)
             x = constant(rng.normal(size=(n, 2)))
+            stage = single_graph(a)
             closure = sparse.hop_closure(a, symmetric=False)
-            for result in (lcpool(x, single_graph(a), scorer, 0.5),
-                           lcpool_star(x, single_graph(a), conv, scorer, 0.5)):
+            for result in (lcpool(x, stage, scorer(x, stage), 0.5),
+                           lcpool_star(x, stage, conv, scorer, 0.5)):
                 want = sparse.strip_diagonal(sparse.select_rows_cols(closure, result.kept))
                 assert sparse.equal(result.a, want)
         assert asymmetric > 30
@@ -493,7 +495,8 @@ class TestLcPool:
         proj = rng.normal(size=(3, 2))
 
         def builder():
-            result = lcpool(x, single_graph(sparse.from_dense(ad)), scorer, 0.5)
+            stage = single_graph(sparse.from_dense(ad))
+            result = lcpool(x, stage, scorer(x, stage), 0.5)
             return diff.sum_all(diff.mul(result.x, constant(proj)))
 
         tensors = [p.tensor for p in scorer.parameters()]
@@ -508,8 +511,9 @@ class TestLcPoolStar:
         scorer = Lcsmp(2, rng, "s")
         x = constant([[1.5, -0.5]])
         a = CsrMatrix.empty(1, 1)
-        starred = lcpool_star(x, single_graph(a), conv, scorer, 1.0)
-        plain = lcpool(x, single_graph(a), scorer, 1.0)
+        stage = single_graph(a)
+        starred = lcpool_star(x, stage, conv, scorer, 1.0)
+        plain = lcpool(x, stage, scorer(x, stage), 1.0)
         assert np.allclose(starred.x.values, plain.x.values)
 
     def test_same_kept_set_gives_same_adjacency_pattern(self):
@@ -520,8 +524,7 @@ class TestLcPoolStar:
         scorer = Lcsmp(2, rng, "s")
         stage = single_graph(sparse.from_dense(ad))
         starred = lcpool_star(constant(x), stage, conv, scorer, 0.5)
-        plain = local_cluster_selection_pool(
-            constant(x), stage, fixed_score(starred.scores.values.ravel()), 0.5)
+        plain = lcpool(constant(x), stage, fixed_score(starred.scores.values.ravel()), 0.5)
         assert np.array_equal(starred.kept.indices, plain.kept.indices)
         assert sparse.equal(starred.a, plain.a)
 
@@ -559,10 +562,12 @@ class TestBatchBehaviour:
             p.tensor.values = rng.normal(size=p.tensor.shape)
         graphs = self._graphs(rng, [5, 3, 7])
         batch = make_batch(graphs)
-        pooled = lcpool(constant(batch.x), batch, scorer, 0.5)
+        x = constant(batch.x)
+        pooled = lcpool(x, batch, scorer(x, batch), 0.5)
         offset = kept_offset = 0
         for g in graphs:
-            single = lcpool(constant(g.x), single_graph(g.a), scorer, 0.5)
+            x, stage = constant(g.x), single_graph(g.a)
+            single = lcpool(x, stage, scorer(x, stage), 0.5)
             k = len(single.kept)
             np.testing.assert_allclose(
                 pooled.x.values[kept_offset : kept_offset + k], single.x.values,
@@ -585,10 +590,10 @@ class TestBatchBehaviour:
             ad = random_adjacency_dense(rng, 8, p=0.4)
             x = rng.normal(size=(8, 2))
             perm = rng.permutation(8)
-            base = lcpool(constant(x), single_graph(sparse.from_dense(ad)), scorer, 0.5)
-            permuted = lcpool(constant(x[perm]),
-                              single_graph(sparse.from_dense(ad[np.ix_(perm, perm)])),
-                              scorer, 0.5)
+            stage = single_graph(sparse.from_dense(ad))
+            base = lcpool(constant(x), stage, scorer(constant(x), stage), 0.5)
+            stage = single_graph(sparse.from_dense(ad[np.ix_(perm, perm)]))
+            permuted = lcpool(constant(x[perm]), stage, scorer(constant(x[perm]), stage), 0.5)
             # kept identities map through the permutation
             kept_original = set(perm[permuted.kept.indices].tolist())
             assert kept_original == set(base.kept.indices.tolist())
@@ -605,7 +610,8 @@ class TestBatchBehaviour:
             graphs = self._graphs(rng, list(rng.integers(1, 11, size=4)))
             batch = make_batch(graphs)
             scorer = Lcsmp(2, rng, "s")
-            result = lcpool(constant(batch.x), batch, scorer, ratio)
+            x = constant(batch.x)
+            result = lcpool(x, batch, scorer(x, batch), ratio)
             counts = np.bincount(result.graph_id, minlength=len(graphs))
             expected = [kept_count(ratio, g.num_nodes) for g in graphs]
             assert np.array_equal(counts, expected)
