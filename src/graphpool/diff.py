@@ -206,18 +206,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, rule)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"sub shape mismatch: {a.shape} - {b.shape}")
-    out = Tensor(a.values - b.values)
-
-    def rule(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return _record(out, rule)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")

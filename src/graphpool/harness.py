@@ -115,8 +115,6 @@ class DensePool(Module):
     """Soft assignment to a fixed cluster count: softmax(linear(x)) rows."""
 
     def __init__(self, hidden, k_clusters, rng, name):
-        if k_clusters < 1:
-            raise ValueError("need at least one cluster")
         self.assign = Linear(hidden, k_clusters, rng, f"{name}.assign")
         self.k_clusters = k_clusters
 
@@ -194,9 +192,6 @@ class Model(Module):
         if cfg.backbone == "plain":
             self.pools = [None] * (N_BLOCKS - 1) + [_make_pool(cfg, 0, rng, "pool", mean_nodes)]
         self.classifier = Mlp([2 * cfg.hidden, *cfg.post_mlp, num_classes], rng, "post")
-        names = [p.name for p in self.parameters()]
-        if len(set(names)) != len(names):
-            raise ValueError("parameter registered twice")
 
     def forward(self, batch: GraphBatch) -> Tensor:
         """Class logits; the batch is the first stage, each pool's result the next."""

@@ -85,10 +85,10 @@ class Stage:
 
     @staticmethod
     def of(a: CsrMatrix, graph_id) -> "Stage":
-        """The stage of a under graph_id, checked: one sorted, non-negative id
-        per row, no graph empty, no entry of a joining two graphs."""
-        gid = np.asarray(graph_id, dtype=np.int64)
-        if gid.shape != (a.n_rows,):
+        """The stage of a under graph_id, checked: one sorted, non-negative,
+        integral id per row, no graph empty, no entry of a joining two graphs."""
+        gid = sparse.index_array(graph_id)
+        if gid.size != a.n_rows:
             raise ValueError("segment ids must align with tensor rows")
         if gid.size == 0:
             raise ValueError("segment ids are empty")

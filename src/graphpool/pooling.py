@@ -33,10 +33,9 @@ class PoolResult(Stage):
     scores: Tensor | None
 
 
-def check_ratio(ratio: float) -> float:
+def check_ratio(ratio: float) -> None:
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"pool ratio must be in (0, 1], got {ratio}")
-    return float(ratio)
 
 
 def kept_count(ratio: float, n: int | np.ndarray):
@@ -99,21 +98,32 @@ def dense_assignment_pool(x: Tensor, stage: Stage, s: Tensor) -> PoolResult:
     k = s.cols
     if k < 1:
         raise ValueError("need at least one cluster")
-    bounds = stage.bounds
-    n_graphs = bounds.size - 1
-    n_pooled = n_graphs * k
-    pooled_x = diff.assignment_reduce(s, x, bounds)
-    blocks = diff.segment_products(s.values, sparse.spmm(stage.a, s.values), bounds)
+    bounds = np.arange(stage.bounds.size, dtype=np.int64) * k
+    pooled_x = diff.assignment_reduce(s, x, stage.bounds)
+    blocks = diff.segment_products(s.values, sparse.spmm(stage.a, s.values), stage.bounds)
+    return PoolResult(a=_block_diagonal(blocks, bounds), bounds=bounds,
+                      x=pooled_x, kept=None, scores=None)
+
+
+def _block_diagonal(blocks: np.ndarray, bounds: np.ndarray) -> CsrMatrix:
+    """The block-diagonal matrix of a (G, k, k) stack, diagonals dropped.
+
+    Block g's rows and columns start at row and column bounds[g]; its
+    entries past its first ``bounds[g + 1] - bounds[g]`` rows and columns
+    must be zero.  ``np.flatnonzero`` walks the stack by (block, row,
+    column), so the entries come out in canonical order.  The diagonals are
+    zeroed in place.
+    """
+    k = blocks.shape[1]
     diagonal = np.arange(k)
     blocks[:, diagonal, diagonal] = 0.0
-    blocks = blocks.reshape(n_pooled, k)
-    # nonzero walks rows in order and columns in order within each row, so
-    # the global columns g*k + c increase per row: canonical as built
-    rows, cols = np.nonzero(blocks)
-    pooled_a = CsrMatrix(n_pooled, n_pooled, sparse.row_extents(rows, n_pooled),
-                         rows - rows % k + cols, blocks[rows, cols])
-    return PoolResult(a=pooled_a, bounds=np.arange(n_graphs + 1, dtype=np.int64) * k,
-                      x=pooled_x, kept=None, scores=None)
+    at = np.flatnonzero(blocks)
+    row = at // k  # g * k + r for row r of block g
+    g = row // k
+    start = bounds[g]
+    n = int(bounds[-1])
+    return CsrMatrix(n, n, sparse.row_extents(start + row - g * k, n),
+                     start + at - row * k, blocks.reshape(-1)[at])
 
 
 def _pattern_keys(m: CsrMatrix) -> np.ndarray:
@@ -180,38 +190,29 @@ def _closure_by_blocks(stage: Stage, kept: IndexSet, kept_bounds: np.ndarray) ->
     """Pooled closure pattern from one padded stack of per-graph 0/1 blocks.
 
     Graph g's block A_g sits in a (G, m, m) stack, m the largest graph, and
-    B_g = (I + A_g)[:, K_g] holds its kept columns, zero past its k_g of
-    k_max slots; kept_bounds are the kept nodes' extents per graph.
+    B_g = (I + A_g)[:, K_g] holds its kept columns: one gather fills the k_g
+    kept slots of a zeroed (G, k_max, m) stack of B^T, so the padded slots
+    are zero as built; kept_bounds are the kept nodes' extents per graph.
     C_g = B_g^T A_g B_g is two batched matmuls.  Each entry counts
     contributor paths, a sum of non-negative integers, so it is non-zero
-    exactly where the closure has an edge.  ``np.nonzero`` walks C by
-    (graph, row, column), and with the kept offsets added that is canonical
-    order already.
+    exactly where the closure has an edge.
     """
     a, gid = stage.a, stage.graph_id
     n_graphs = stage.bounds.size - 1
-    kept_counts = np.diff(kept_bounds)
-    m, k_max = int(np.diff(stage.bounds).max()), int(kept_counts.max())
+    m, k_max = int(np.diff(stage.bounds).max()), int(np.diff(kept_bounds).max())
     local = np.arange(gid.size) - stage.bounds[gid]
     blocks = np.zeros((n_graphs, m, m))
     flat = (gid * m + local) * m
     blocks.reshape(-1)[flat[sparse.row_indices(a)] + local[a.col_idx]] = 1.0
-    # slot j of graph g holds its j-th kept node; padded slots gather node 0
-    filled = np.arange(k_max) < kept_counts[:, None]
-    slot_node = np.zeros((n_graphs, k_max), dtype=np.int64)
-    slot_node[filled] = local[kept.indices]
-    graph = np.arange(n_graphs)[:, None]
-    b_t = blocks.transpose(0, 2, 1)[graph, slot_node]  # (G, k_max, m): B^T
-    b_t[graph, np.arange(k_max), slot_node] += 1.0
-    b_t[~filled] = 0.0
+    # kept node i is slot j of its graph g: B^T[g, j] is column i of I + A_g
+    g = gid[kept.indices]
+    node = local[kept.indices]
+    slot = np.arange(len(kept)) - kept_bounds[g]
+    b_t = np.zeros((n_graphs, k_max, m))
+    b_t[g, slot] = blocks[g, :, node]
+    b_t[g, slot, node] += 1.0
     c = np.matmul(np.matmul(b_t, blocks), b_t.transpose(0, 2, 1))
-    diagonal = np.arange(k_max)
-    c[:, diagonal, diagonal] = 0.0
-    g, r, col = np.nonzero(c)
-    offset = kept_bounds[g]
-    n_kept = len(kept)
-    return CsrMatrix(n_kept, n_kept, sparse.row_extents(offset + r, n_kept),
-                     offset + col, np.ones(g.size))
+    return sparse.ones_pattern(_block_diagonal(c, kept_bounds))
 
 
 def _blocks_pay(stage: Stage, kept: IndexSet, kept_bounds: np.ndarray) -> bool:

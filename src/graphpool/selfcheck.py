@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diff, harness, pooling, sparse
-from .dataset import make_synthetic
+from .dataset import Graph, make_batch, make_synthetic
 from .diff import Parameter, Tape, Tensor, backward, cross_entropy
 from .layers import Lcsmp, Stage
 from .sparse import CsrMatrix, IndexSet
@@ -307,7 +307,6 @@ _PRIMITIVES = {
     "matmul": (diff.matmul, [(3, 4), (4, 2)]),
     "linear": (diff.linear, [(2, 2), (4, 2), (1, 4)]),
     "add": (diff.add, [(3, 4), (3, 4)]),
-    "sub": (diff.sub, [(3, 4), (3, 4)]),
     "mul": (diff.mul, [(3, 4), (3, 4)]),
     "broadcast_col": (diff.broadcast_col, [(3, 4), (3, 1)]),
     "relu": (diff.relu, [(4, 3)]),
@@ -349,8 +348,6 @@ def _primitive_cases(seed):
 
 def _grad_batch(rng, feature_dim=3):
     """Two small graphs (6 and 4 nodes) as one block-diagonal batch."""
-    from .dataset import Graph, make_batch
-
     graphs = []
     for n in (6, 4):
         a = random_adjacency(rng, n, p=0.5)
@@ -528,8 +525,6 @@ def check_ranking_fixture() -> CheckResult:
 
 def check_size_adaptivity() -> CheckResult:
     """Per-graph kept counts must equal max(1, ceil(ratio * n)) exactly."""
-    from .dataset import Graph, make_batch
-
     trials = 50
     for t in range(trials):
         rng = keyed_rng("size-adaptivity", t)

@@ -23,6 +23,7 @@ __all__ = [
     "equal",
     "from_dense",
     "hop_closure",
+    "index_array",
     "is_symmetric",
     "ones_pattern",
     "row_extents",
@@ -39,8 +40,15 @@ __all__ = [
 ]
 
 
-def _index_array(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.int64)
+def index_array(x) -> np.ndarray:
+    """x as a one-dimensional int64 array.  Integer input is converted as it
+    is; any other entry must be an integral float within int64 range."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biu":
+        arr = arr.astype(np.float64)
+        if not np.all((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)):
+            raise ValueError("indices must be integral, below 2**63 in magnitude")
+    arr = arr.astype(np.int64, copy=False)
     if arr.ndim != 1:
         raise ValueError("index arrays must be one-dimensional")
     return arr
@@ -53,7 +61,7 @@ class IndexSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = _index_array(self.indices)
+        idx = index_array(self.indices)
         object.__setattr__(self, "indices", idx)
         if idx.size:
             if idx[0] < 0:
@@ -92,8 +100,8 @@ class CsrMatrix:
     @classmethod
     def from_coo(cls, n_rows, n_cols, rows, cols, values) -> "CsrMatrix":
         """Build from triplets; duplicates are summed, exact zeros dropped."""
-        rows = _index_array(rows)
-        cols = _index_array(cols)
+        rows = index_array(rows)
+        cols = index_array(cols)
         vals = np.asarray(values, dtype=np.float64)
         if not (rows.size == cols.size == vals.size):
             raise ValueError("rows, cols and values must have equal length")

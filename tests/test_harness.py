@@ -120,6 +120,12 @@ class TestModelBuilding:
         ks = [pool.k_clusters for pool in model.pools]
         assert ks == [6, 3, 2]
 
+    def test_dense_pool_keeps_a_cluster_at_the_smallest_size(self):
+        # kept_count is at least 1, so no stage's pool can get zero clusters
+        cfg = ModelConfig(pool="dense", ratio=0.1, **TINY)
+        pool = harness._make_pool(cfg, 2, np.random.default_rng(0), "pool", 1.0)
+        assert pool.k_clusters == 1
+
     def test_dense_pool_needs_statistics(self):
         with pytest.raises(ValueError):
             build_model(ModelConfig(pool="dense", **TINY), 1, 2, seed=0)
@@ -147,6 +153,8 @@ class TestModelBuilding:
         ds = make_synthetic("two_communities", 8, seed=3)
         model = build_model(ModelConfig(backbone=backbone, pool=pool, **TINY), ds.feature_dim,
                             ds.num_classes, seed=0, mean_nodes=ds.mean_nodes)
+        names = [p.name for p in model.parameters()]
+        assert len(set(names)) == len(names)  # Adam rejects a repeated name
         batch = make_batch(ds.graphs)
         with diff.Tape():
             loss = diff.cross_entropy(model.forward(batch), batch.labels)
@@ -172,6 +180,12 @@ class TestStages:
         model = build_model(ModelConfig(pool=pool, **TINY), 4, 2, seed=0, mean_nodes=4.0)
         with pytest.raises(ValueError, match=r"entry \(2, 5\) joins graphs 0 and 1"):
             model.pools[0](diff.constant(np.ones((8, 8))), joined, batch.graph_id)
+
+    @pytest.mark.parametrize("bad", [0.4, 1.5, np.nan, np.inf])
+    def test_non_integral_graph_ids_rejected(self, bad):
+        # a cast would read [0, 0.4, 1.5] as [0, 0, 1]
+        with pytest.raises(ValueError, match="indices must be integral"):
+            layers.Stage.of(sparse.CsrMatrix.empty(3, 3), [0.0, 0.0, bad])
 
     def test_nopool_forward_normalises_the_batch_once(self, monkeypatch):
         calls = []

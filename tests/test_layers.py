@@ -188,9 +188,12 @@ class TestLcsmp:
 
 def reference_pre_softmax(scorer, x, a):
     """Lcsmp written literally: relu(L_d(x_i - x_k)) on every gathered edge row,
-    summed into node i, then L_fd, L_x and L_s as in the layer."""
+    summed into node i, then L_fd, L_x and L_s as in the layer.  x_i - x_k is
+    x_i + (-1 * x_k), the same bits in IEEE arithmetic."""
     targets = sparse.row_indices(a)
-    diffs = diff.sub(diff.gather_rows(x, targets), diff.gather_rows(x, a.col_idx))
+    minus_one = constant(-np.ones((a.nnz, 1)))
+    minus_x_k = diff.broadcast_col(diff.gather_rows(x, a.col_idx), minus_one)
+    diffs = diff.add(diff.gather_rows(x, targets), minus_x_k)
     messages = diff.relu(scorer.l_diff(diffs))
     agg = diff.scatter_sum(messages, targets, x.rows)
     hidden = diff.add(diff.relu(scorer.l_agg(agg)), diff.relu(scorer.l_self(x)))

@@ -62,6 +62,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IndexSet([1, 1])
 
+    @pytest.mark.parametrize("bad", [0.7, 1.2, np.nan, np.inf, -np.inf, 2.0**64])
+    def test_non_integral_indices_rejected(self, bad):
+        # a cast would truncate 0.7 to 0 and 1.2 to 1 and store the wrong entry
+        with pytest.raises(ValueError, match="indices must be integral"):
+            CsrMatrix.from_coo(2, 2, [bad], [1], [1.0])
+        with pytest.raises(ValueError, match="indices must be integral"):
+            CsrMatrix.from_coo(2, 2, [0], [bad], [1.0])
+        with pytest.raises(ValueError, match="indices must be integral"):
+            IndexSet(np.array([0.0, bad]))
+
+    def test_integral_float_indices_accepted(self):
+        a = CsrMatrix.from_coo(2, 2, np.array([0.0, 1.0]), np.array([1.0, 0.0]), [1.0, 2.0])
+        assert np.array_equal(sparse.to_dense(a), [[0, 1], [2, 0]])
+        assert a.col_idx.dtype == np.int64
+        assert np.array_equal(IndexSet(np.array([0.0, 2.0])).indices, [0, 2])
+
 
 class TestSpgemm:
     def test_identity_is_neutral(self):
