@@ -133,6 +133,8 @@ def _cmd_train(args) -> int:
     if csv_path == out:
         raise SystemExit(f"--out {out} and its records CSV {csv_path} are the same file; "
                          "give --out another extension, e.g. .json")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise SystemExit(f"--out {out}: directory {os.path.dirname(out)} does not exist")
     dataset = load_dataset(opts)
     # a set of combinations: a repeated value or alias trains once, in first place
     models = list(dict.fromkeys(

@@ -368,12 +368,12 @@ def rank_table(means: dict[tuple[str, str, str], float]) -> RankingTable:
 
 
 def rank(records: list[RunRecord]) -> RankingTable:
-    """Average rank of each pooling approach per backbone across datasets."""
-    acc: dict[tuple[str, str, str], list[float]] = {}
-    for rec in records:
-        key = (rec.model.backbone_label, rec.dataset, rec.model.pool)
-        acc.setdefault(key, []).append(rec.test_accuracy)
-    return rank_table({key: float(np.mean(v)) for key, v in acc.items()})
+    """Average rank of each pooling approach per backbone across datasets,
+    from the mean accuracies of :func:`summary_rows`."""
+    return rank_table({
+        (f"{row['backbone']}/{row['conv']}", row["dataset"], row["pool"]): row["mean_accuracy"]
+        for row in summary_rows(records)
+    })
 
 
 _CSV_COLUMNS = ("backbone", "conv", "pool", "dataset", "run_seed",

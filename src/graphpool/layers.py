@@ -117,29 +117,26 @@ class Stage:
 
 
 class GcnConv(Module):
-    """Degree-normalized convolution with self-loops: norm(A) @ X @ W^T."""
+    """Degree-normalized convolution with self-loops: a Linear (parameter
+    ``{name}.w``, no bias) applied to norm(A) @ X."""
 
     def __init__(self, in_dim: int, out_dim: int, rng, name: str):
-        bound = 1.0 / np.sqrt(in_dim)
-        self.weight = Parameter(f"{name}.w", rng.uniform(-bound, bound, (out_dim, in_dim)))
+        self.linear = Linear(in_dim, out_dim, rng, name, bias=False)
 
     def __call__(self, x: Tensor, stage: Stage) -> Tensor:
-        agg = diff.spmm_const(stage.a_hat, x)
-        return diff.linear(agg, self.weight.tensor)
+        return self.linear(diff.spmm_const(stage.a_hat, x))
 
 
 class GraphConv(Module):
-    """x_i' = W1^T x_i + W2^T sum of neighbour features."""
+    """x_i' = root(x_i) + nbr(sum of neighbour features), two Linears without
+    bias (``{name}.root.w``, then ``{name}.nbr.w``)."""
 
     def __init__(self, in_dim: int, out_dim: int, rng, name: str):
-        bound = 1.0 / np.sqrt(in_dim)
-        self.w_root = Parameter(f"{name}.w1", rng.uniform(-bound, bound, (out_dim, in_dim)))
-        self.w_nbr = Parameter(f"{name}.w2", rng.uniform(-bound, bound, (out_dim, in_dim)))
+        self.root = Linear(in_dim, out_dim, rng, f"{name}.root", bias=False)
+        self.nbr = Linear(in_dim, out_dim, rng, f"{name}.nbr", bias=False)
 
     def __call__(self, x: Tensor, stage: Stage) -> Tensor:
-        own = diff.linear(x, self.w_root.tensor)
-        agg = diff.linear(diff.spmm_const(stage.a, x), self.w_nbr.tensor)
-        return diff.add(own, agg)
+        return diff.add(self.root(x), self.nbr(diff.spmm_const(stage.a, x)))
 
 
 class Lcsmp(Module):

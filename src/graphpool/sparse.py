@@ -42,9 +42,12 @@ __all__ = [
 
 def index_array(x) -> np.ndarray:
     """x as a one-dimensional int64 array.  Integer input is converted as it
-    is; any other entry must be an integral float within int64 range."""
+    is; any other entry must be an integral float within int64 range.  A
+    boolean array is rejected: numpy reads it as a mask, not as ids 0 and 1."""
     arr = np.asarray(x)
-    if arr.dtype.kind not in "biu":
+    if arr.dtype.kind == "b":
+        raise ValueError("indices must be integers, not booleans")
+    if arr.dtype.kind not in "iu":
         arr = arr.astype(np.float64)
         if not np.all((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)):
             raise ValueError("indices must be integral, below 2**63 in magnitude")
@@ -209,13 +212,9 @@ def spgemm(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
     """Exact sparse-sparse product a @ b."""
     if a.n_cols != b.n_rows:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    if a.nnz == 0 or b.nnz == 0:
-        return CsrMatrix.empty(a.n_rows, b.n_cols)
     a_rows = row_indices(a)
     counts = np.diff(b.row_ptr)[a.col_idx]
     total = int(counts.sum())
-    if total == 0:
-        return CsrMatrix.empty(a.n_rows, b.n_cols)
     # Expand each A entry (i,k) against the whole row k of B.
     starts = b.row_ptr[a.col_idx]
     offsets = np.cumsum(counts) - counts
@@ -249,7 +248,7 @@ def row_sums(row_ptr: np.ndarray, block: np.ndarray, take=None, weights=None) ->
     passes, a hub row or a long segment takes one reduce.
     """
     counts = np.diff(row_ptr)
-    if counts.size == 0 or row_ptr[-1] == row_ptr[0]:
+    if counts.size == 0:
         return np.zeros((counts.size, block.shape[1]))
     by_len = np.argsort(counts, kind="stable")
     starts, ends = row_ptr[by_len], row_ptr[by_len + 1]

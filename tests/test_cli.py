@@ -135,6 +135,17 @@ class TestTrainCommand:
             main(["train", "--dataset", "synthetic:cycles_vs_paths", "--out", str(out)])
         assert not out.exists()
 
+    def test_out_in_missing_directory_refused_before_training(self, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the dataset loaded or a run started")
+
+        monkeypatch.setattr("graphpool.cli.load_dataset", no_run)
+        monkeypatch.setattr(harness, "evaluate_suite", no_run)
+        out = tmp_path / "missing" / "r.json"
+        with pytest.raises(SystemExit, match=re.escape(f"directory {out.parent} does not exist")):
+            main(["train", "--dataset", "synthetic:cycles_vs_paths", "--out", str(out)])
+        assert not out.parent.exists()
+
     def test_synthetic_kind_validated(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["train", "--dataset", "synthetic:bogus", "--out",

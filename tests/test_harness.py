@@ -187,6 +187,11 @@ class TestStages:
         with pytest.raises(ValueError, match="indices must be integral"):
             layers.Stage.of(sparse.CsrMatrix.empty(3, 3), [0.0, 0.0, bad])
 
+    def test_boolean_graph_ids_rejected(self):
+        # a cast would read [False, False, True] as the ids [0, 0, 1]
+        with pytest.raises(ValueError, match="indices must be integers, not booleans"):
+            layers.Stage.of(sparse.CsrMatrix.empty(3, 3), [False, False, True])
+
     def test_nopool_forward_normalises_the_batch_once(self, monkeypatch):
         calls = []
         normalized = layers.gcn_normalized

@@ -55,7 +55,7 @@ class TestModule:
 class TestGcnConv:
     def test_single_node_identity_weight(self):
         conv = GcnConv(2, 2, np.random.default_rng(0), "c")
-        conv.weight.tensor.values = np.eye(2)
+        conv.linear.weight.tensor.values = np.eye(2)
         x = constant([[3.0, -1.0]])
         out = conv(x, single_graph(CsrMatrix.empty(1, 1)))
         assert np.allclose(out.values, x.values)  # degree 1 normalization
@@ -68,13 +68,20 @@ class TestGcnConv:
 
     def test_path_matches_dense_normalization_oracle(self):
         conv = GcnConv(1, 1, np.random.default_rng(2), "c")
-        conv.weight.tensor.values = np.array([[1.0]])
+        conv.linear.weight.tensor.values = np.array([[1.0]])
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         a_hat = sparse.to_dense(path4()) + np.eye(4)
         d_inv = np.diag(1.0 / np.sqrt(a_hat.sum(axis=1)))
         expected = d_inv @ a_hat @ d_inv @ x
         out = conv(constant(x), single_graph(path4()))
         assert np.allclose(out.values, expected, atol=1e-12)
+
+    def test_weight_is_the_first_draw(self):
+        conv = GcnConv(3, 2, np.random.default_rng(6), "c")
+        bound = 1.0 / np.sqrt(3.0)
+        expected = np.random.default_rng(6).uniform(-bound, bound, (2, 3))
+        assert [p.name for p in conv.parameters()] == ["c.w"]
+        assert np.array_equal(conv.linear.weight.tensor.values, expected)
 
     def test_normalized_adjacency_rows(self):
         norm = gcn_normalized(path4())
@@ -85,16 +92,25 @@ class TestGcnConv:
 
 
 class TestGraphConv:
+    def test_root_then_neighbour_draws(self):
+        conv = GraphConv(3, 2, np.random.default_rng(6), "c")
+        bound = 1.0 / np.sqrt(3.0)
+        rng = np.random.default_rng(6)
+        root, nbr = (rng.uniform(-bound, bound, (2, 3)) for _ in range(2))
+        assert [p.name for p in conv.parameters()] == ["c.root.w", "c.nbr.w"]
+        assert np.array_equal(conv.root.weight.tensor.values, root)
+        assert np.array_equal(conv.nbr.weight.tensor.values, nbr)
+
     def test_isolated_node_keeps_own_transform(self):
         conv = GraphConv(2, 2, np.random.default_rng(3), "c")
         x = constant([[1.0, 2.0]])
         out = conv(x, single_graph(CsrMatrix.empty(1, 1)))
-        assert np.allclose(out.values, x.values @ conv.w_root.tensor.values.T)
+        assert np.allclose(out.values, x.values @ conv.root.weight.tensor.values.T)
 
     def test_swap_on_pair(self):
         conv = GraphConv(2, 2, np.random.default_rng(4), "c")
-        conv.w_root.tensor.values = np.zeros((2, 2))
-        conv.w_nbr.tensor.values = np.eye(2)
+        conv.root.weight.tensor.values = np.zeros((2, 2))
+        conv.nbr.weight.tensor.values = np.eye(2)
         a = sparse.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = conv(constant(x), single_graph(a))
@@ -105,7 +121,7 @@ class TestGraphConv:
         conv = GraphConv(3, 2, rng, "c")
         ad = random_adjacency_dense(rng, 5, p=0.5)
         x = rng.normal(size=(5, 3))
-        expected = x @ conv.w_root.tensor.values.T + ad @ x @ conv.w_nbr.tensor.values.T
+        expected = x @ conv.root.weight.tensor.values.T + ad @ x @ conv.nbr.weight.tensor.values.T
         out = conv(constant(x), single_graph(sparse.from_dense(ad)))
         assert np.allclose(out.values, expected, atol=1e-12)
 

@@ -507,7 +507,7 @@ class TestLcPoolStar:
     def test_single_node_reduces_to_plain_variant(self):
         rng = np.random.default_rng(8)
         conv = GcnConv(2, 2, rng, "v")
-        conv.weight.tensor.values = np.eye(2)  # degree-1 node: v is the identity
+        conv.linear.weight.tensor.values = np.eye(2)  # degree-1 node: v is the identity
         scorer = Lcsmp(2, rng, "s")
         x = constant([[1.5, -0.5]])
         a = CsrMatrix.empty(1, 1)

@@ -72,6 +72,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="indices must be integral"):
             IndexSet(np.array([0.0, bad]))
 
+    def test_boolean_indices_rejected(self):
+        # numpy reads a boolean array as a mask; a cast would read it as ids 0 and 1
+        flags = np.array([False, True])
+        with pytest.raises(ValueError, match="indices must be integers, not booleans"):
+            CsrMatrix.from_coo(2, 2, flags, [0, 1], [1.0, 1.0])
+        with pytest.raises(ValueError, match="indices must be integers, not booleans"):
+            CsrMatrix.from_coo(2, 2, [0, 1], flags, [1.0, 1.0])
+        with pytest.raises(ValueError, match="indices must be integers, not booleans"):
+            IndexSet(flags)
+
     def test_integral_float_indices_accepted(self):
         a = CsrMatrix.from_coo(2, 2, np.array([0.0, 1.0]), np.array([1.0, 0.0]), [1.0, 2.0])
         assert np.array_equal(sparse.to_dense(a), [[0, 1], [2, 0]])
@@ -96,6 +106,14 @@ class TestSpgemm:
     def test_zero_annihilates(self):
         z = CsrMatrix.empty(4, 4)
         assert sparse.spgemm(z, path4()).nnz == 0
+        assert sparse.spgemm(path4(), z).nnz == 0
+        # both operands non-empty, but A's only column hits an empty row of B
+        a = CsrMatrix.from_coo(2, 3, [0], [1], [2.0])
+        b = CsrMatrix.from_coo(3, 4, [0, 2], [3, 0], [1.0, 1.0])
+        got = sparse.spgemm(a, b)
+        sparse.validate(got)
+        assert got.shape == (2, 4) and got.nnz == 0
+        assert got.values.dtype == np.float64 and got.col_idx.dtype == np.int64
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -118,6 +136,8 @@ class TestSpmm:
         a = CsrMatrix.from_coo(3, 3, [0], [1], [1.0])
         got = sparse.spmm(a, np.ones((3, 2)))
         assert np.array_equal(got, [[1, 1], [0, 0], [0, 0]])
+        got = sparse.spmm(CsrMatrix.empty(3, 4), np.ones((4, 2)))
+        assert got.shape == (3, 2) and not got.any()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
