@@ -126,6 +126,12 @@ def load_dataset(opts: dict):
     return load_tudataset(opts["data_root"], name)
 
 
+def _require_out_directory(out: str) -> None:
+    """Refuse an --out path whose directory is missing, before any work."""
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise SystemExit(f"--out {out}: directory {os.path.dirname(out)} does not exist")
+
+
 def _cmd_train(args) -> int:
     opts = _train_settings(args)
     out = opts["out"]
@@ -133,8 +139,7 @@ def _cmd_train(args) -> int:
     if csv_path == out:
         raise SystemExit(f"--out {out} and its records CSV {csv_path} are the same file; "
                          "give --out another extension, e.g. .json")
-    if not os.path.isdir(os.path.dirname(out) or "."):
-        raise SystemExit(f"--out {out}: directory {os.path.dirname(out)} does not exist")
+    _require_out_directory(out)
     dataset = load_dataset(opts)
     # a set of combinations: a repeated value or alias trains once, in first place
     models = list(dict.fromkeys(
@@ -169,6 +174,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    _require_out_directory(args.out)
     records = harness.load_records(args.in_path)
     table = harness.rank(records)
     text = harness.ranking_csv(table)

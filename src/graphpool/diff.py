@@ -323,6 +323,30 @@ def spmm_const(a: CsrMatrix, x: Tensor) -> Tensor:
     return _record(out, rule)
 
 
+def block_spmm(stack: np.ndarray, slot: np.ndarray, x: Tensor) -> Tensor:
+    """Block-diagonal @ dense with the (G, m, m) stack of blocks held constant.
+
+    Row i of x goes to row slot[i] of a zeroed (G * m)-row buffer, one
+    batched matmul multiplies block g into rows g * m .. g * m + m - 1, and
+    the rows slot are gathered back; the backward pass does the same with
+    every block transposed, so no transposed matrix is formed.  Rows and
+    columns of the stack that no slot names must be zero.
+    """
+    n_graphs, m, _ = stack.shape
+
+    def apply(blocks, v):
+        buf = np.zeros((n_graphs * m, v.shape[1]))
+        buf[slot] = v
+        return np.matmul(blocks, buf.reshape(n_graphs, m, -1)).reshape(n_graphs * m, -1)[slot]
+
+    out = Tensor(apply(stack, x.values))
+
+    def rule(g):
+        _accumulate(x, apply(stack.transpose(0, 2, 1), g))
+
+    return _record(out, rule)
+
+
 def edge_relu_sum(p: Tensor, bias: Tensor, a: CsrMatrix) -> Tensor:
     """Row i is the sum of relu(p[i] + bias - p[k]) over the stored entries
     (i, k) of the square a; bias is a 1 x cols row.

@@ -189,26 +189,21 @@ def _closure_by_sparse(a: CsrMatrix, kept: IndexSet) -> CsrMatrix:
 def _closure_by_blocks(stage: Stage, kept: IndexSet, kept_bounds: np.ndarray) -> CsrMatrix:
     """Pooled closure pattern from one padded stack of per-graph 0/1 blocks.
 
-    Graph g's block A_g sits in a (G, m, m) stack, m the largest graph, and
-    B_g = (I + A_g)[:, K_g] holds its kept columns: one gather fills the k_g
-    kept slots of a zeroed (G, k_max, m) stack of B^T, so the padded slots
-    are zero as built; kept_bounds are the kept nodes' extents per graph.
-    C_g = B_g^T A_g B_g is two batched matmuls.  Each entry counts
-    contributor paths, a sum of non-negative integers, so it is non-zero
-    exactly where the closure has an edge.
+    Graph g's block A_g is the stage's block view of a (unweighted, as
+    lcpool requires), and B_g = (I + A_g)[:, K_g] holds its kept columns:
+    one gather fills the k_g kept slots of a zeroed (G, k_max, m) stack of
+    B^T, so the padded slots are zero as built; kept_bounds are the kept
+    nodes' extents per graph.  C_g = B_g^T A_g B_g is two batched matmuls.
+    Each entry counts contributor paths, a sum of non-negative integers, so
+    it is non-zero exactly where the closure has an edge.
     """
-    a, gid = stage.a, stage.graph_id
-    n_graphs = stage.bounds.size - 1
-    m, k_max = int(np.diff(stage.bounds).max()), int(np.diff(kept_bounds).max())
-    local = np.arange(gid.size) - stage.bounds[gid]
-    blocks = np.zeros((n_graphs, m, m))
-    flat = (gid * m + local) * m
-    blocks.reshape(-1)[flat[sparse.row_indices(a)] + local[a.col_idx]] = 1.0
+    blocks = stage.a_blocks
+    layout_slot, m = stage.layout
+    k_max = int(np.diff(kept_bounds).max())
     # kept node i is slot j of its graph g: B^T[g, j] is column i of I + A_g
-    g = gid[kept.indices]
-    node = local[kept.indices]
+    g, node = np.divmod(layout_slot[kept.indices], m)
     slot = np.arange(len(kept)) - kept_bounds[g]
-    b_t = np.zeros((n_graphs, k_max, m))
+    b_t = np.zeros((blocks.shape[0], k_max, m))
     b_t[g, slot] = blocks[g, :, node]
     b_t[g, slot, node] += 1.0
     c = np.matmul(np.matmul(b_t, blocks), b_t.transpose(0, 2, 1))
@@ -228,7 +223,7 @@ def _blocks_pay(stage: Stage, kept: IndexSet, kept_bounds: np.ndarray) -> bool:
     degree = np.diff(a.row_ptr)
     entry_degree = np.repeat(degree, degree)  # deg(u) of each stored entry (u, v)
     p = int(entry_degree[in_kept[a.col_idx]].sum() + degree[kept.indices].sum())
-    m, k_max = int(np.diff(stage.bounds).max()), int(np.diff(kept_bounds).max())
+    m, k_max = stage.layout[1], int(np.diff(kept_bounds).max())
     return (stage.bounds.size - 1) * k_max * m * (m + k_max) <= BLOCK_ROUTE_FACTOR * p
 
 

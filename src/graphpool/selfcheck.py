@@ -300,6 +300,11 @@ _PATTERN = CsrMatrix.from_coo(
     6, 6, [0, 0, 1, 1, 1, 3, 5, 5], [1, 4, 0, 3, 4, 1, 0, 3], np.ones(8))
 _ADJ = random_adjacency(np.random.default_rng(7), 5, p=0.5)
 _BOUNDS = np.array([0, 3, 5])
+# weighted, directed blocks on graphs of 3 and 2 nodes: the stack has a
+# padded row and column, and no block equals its transpose
+_BLOCK_GID = np.array([0, 0, 0, 1, 1])
+_BLOCK_STAGE = Stage.of(sparse.from_dense(np.random.default_rng(7).normal(size=(5, 5))
+                                          * (_BLOCK_GID[:, None] == _BLOCK_GID)), _BLOCK_GID)
 _LABELS = np.array([0, 2, 1, 2])
 
 # name -> (forward over the input tensors, input shapes)
@@ -322,6 +327,8 @@ _PRIMITIVES = {
     ),
     "edge_relu_sum": (lambda p, b: diff.edge_relu_sum(p, b, _PATTERN), [(6, 3), (1, 3)]),
     "spmm_const": (lambda x: diff.spmm_const(_ADJ, x), [(5, 2)]),
+    "block_spmm": (
+        lambda x: diff.block_spmm(_BLOCK_STAGE.a_blocks, _BLOCK_STAGE.layout[0], x), [(5, 2)]),
     "segment_softmax": (lambda x: diff.segment_softmax(x, _BOUNDS), [(5, 1)]),
     "segment_mean": (lambda x: diff.segment_mean(x, _BOUNDS), [(5, 2)]),
     "segment_max": (lambda x: diff.segment_max(x, _BOUNDS), [(5, 2)]),
@@ -364,6 +371,9 @@ _GRAD_CONFIGS = (
         backbone="hierarchical", pool="lcpool_star", hidden=5, pre_mlp=(5,), post_mlp=(6, 5))),
     ("plain+dense", harness.ModelConfig(
         backbone="plain", pool="dense", hidden=5, pre_mlp=(5,), post_mlp=(6, 5))),
+    ("plain+graphconv", harness.ModelConfig(
+        backbone="plain", conv="graphconv", pool="topk", hidden=5, pre_mlp=(5,),
+        post_mlp=(6, 5))),
 )
 
 
@@ -396,7 +406,7 @@ def _gradient_cases(seed):
 
 
 def check_gradients() -> CheckResult:
-    """Primitives and four end-to-end models vs central finite differences."""
+    """Primitives and five end-to-end models vs central finite differences."""
     worst, where = 0.0, ""
     for name, builder, tensors, labels in _gradient_cases(5):
         err, i, idx, g = _worst_element(builder, tensors)

@@ -146,6 +146,17 @@ class TestTrainCommand:
             main(["train", "--dataset", "synthetic:cycles_vs_paths", "--out", str(out)])
         assert not out.parent.exists()
 
+    def test_rank_out_in_missing_directory_refused_before_loading(self, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the records loaded or were ranked")
+
+        monkeypatch.setattr(harness, "load_records", no_run)
+        monkeypatch.setattr(harness, "rank", no_run)
+        out = tmp_path / "missing" / "rank.csv"
+        with pytest.raises(SystemExit, match=re.escape(f"directory {out.parent} does not exist")):
+            main(["rank", "--in", str(tmp_path / "r.json"), "--out", str(out)])
+        assert not out.parent.exists()
+
     def test_synthetic_kind_validated(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["train", "--dataset", "synthetic:bogus", "--out",

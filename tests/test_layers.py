@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import cycle, path4, random_adjacency_dense, single_graph
-from graphpool import dataset, diff, harness, pooling, sparse
+from graphpool import dataset, diff, harness, layers, pooling, sparse
 from graphpool.diff import Parameter, Tape, Tensor, backward, constant
 from graphpool.layers import (
     GcnConv,
@@ -239,12 +239,16 @@ def reference_batch(rng, dim):
     return dataset.make_batch(graphs)
 
 
-def assert_kept_sets_match_up_to_ties(scorer, x, stage, ratio=0.5):
-    """Kept sets of the two routes may differ only by swapping nodes whose
-    reference scores are within one ulp of each other."""
-    ref = diff.segment_softmax(reference_pre_softmax(scorer, x, stage.a), stage.bounds)
+def reference_scores(scorer, x, stage):
+    """The scorer's column by :func:`reference_pre_softmax`."""
+    return diff.segment_softmax(reference_pre_softmax(scorer, x, stage.a), stage.bounds)
+
+
+def assert_kept_sets_match_up_to_ties(ref, new, stage, ratio=0.5):
+    """Kept sets by the score columns ref and new may differ only by
+    swapping nodes whose ref scores are within one ulp of each other."""
     kept_ref = pooling.topk(ref, stage, ratio).indices
-    kept_new = pooling.topk(scorer(x, stage), stage, ratio).indices
+    kept_new = pooling.topk(new, stage, ratio).indices
     gid = stage.graph_id
     scores = ref.values[:, 0]
     only_new = np.setdiff1d(kept_new, kept_ref)
@@ -293,7 +297,9 @@ class TestLcsmpMatchesLiteralComposition:
         batch = reference_batch(rng, 6)
         for _ in range(5):
             scorer = self._scorer(rng, 6, 16)
-            assert_kept_sets_match_up_to_ties(scorer, constant(batch.x), batch)
+            x = constant(batch.x)
+            assert_kept_sets_match_up_to_ties(reference_scores(scorer, x, batch),
+                                              scorer(x, batch), batch)
 
     @pytest.mark.parametrize("pool", ["lcpool", "lcpool_star"])
     def test_kept_sets_through_training(self, pool):
@@ -323,8 +329,147 @@ class TestLcsmpMatchesLiteralComposition:
             for p, x, a, gid in calls:
                 stage = Stage.of(a, gid)
                 scored = p.cluster(x, stage) if isinstance(p, harness.LcPoolStar) else x
-                assert_kept_sets_match_up_to_ties(p.scorer, scored, stage)
+                assert_kept_sets_match_up_to_ties(reference_scores(p.scorer, scored, stage),
+                                                  p.scorer(scored, stage), stage)
             calls.clear()
+
+
+def ring_batch(rng, sizes):
+    """Rings of the given sizes, random features: mean degree 2."""
+    graphs = []
+    for n in sizes:
+        ring = np.arange(n)
+        a = CsrMatrix.from_coo(n, n, np.r_[ring, (ring + 1) % n], np.r_[(ring + 1) % n, ring],
+                               np.ones(2 * n))
+        graphs.append(dataset.Graph(int(n), rng.normal(size=(n, 3)), a, 0))
+    return dataset.make_batch(graphs)
+
+
+def random_batch(rng, n_graphs=10, directed=False):
+    """Random graphs of 1 to 16 nodes with random features and labels."""
+    graphs = []
+    for n in rng.integers(1, 17, size=n_graphs):
+        ad = random_adjacency_dense(rng, int(n), p=0.35, directed=directed)
+        graphs.append(dataset.Graph(int(n), rng.normal(size=(n, 3)), sparse.from_dense(ad),
+                                    int(rng.integers(0, 2))))
+    return dataset.make_batch(graphs)
+
+
+def weighted_directed_stage(rng):
+    """(stage, features) of a random directed batch with weights in [0.5, 2)."""
+    batch = random_batch(rng, directed=True)
+    a = batch.a
+    weights = a.values * rng.uniform(0.5, 2.0, a.nnz)
+    return Stage(CsrMatrix(a.n_rows, a.n_cols, a.row_ptr, a.col_idx, weights), batch.bounds), batch.x
+
+
+def forced_route(monkeypatch, by_blocks):
+    monkeypatch.setattr(layers, "_propagates_by_blocks", lambda stage: by_blocks)
+
+
+class TestPropagationRoutes:
+    """GcnConv and GraphConv propagate by a stage's block view or its CSR."""
+
+    def test_layout_places_each_node_in_its_graphs_block(self):
+        batch = random_batch(np.random.default_rng(30))
+        slot, m = batch.layout
+        assert m == np.diff(batch.bounds).max()
+        assert np.array_equal(slot // m, batch.graph_id)
+        assert np.array_equal(slot % m, np.arange(slot.size) - batch.bounds[batch.graph_id])
+
+    @pytest.mark.parametrize("view", ["a_hat", "a"])
+    def test_block_view_holds_the_csr_entries_bit_for_bit(self, view):
+        stage, _ = weighted_directed_stage(np.random.default_rng(31))
+        stack, matrix = getattr(stage, f"{view}_blocks"), getattr(stage, view)
+        dense = np.zeros(matrix.shape)
+        for g, (lo, hi) in enumerate(zip(stage.bounds[:-1], stage.bounds[1:])):
+            dense[lo:hi, lo:hi] = stack[g, : hi - lo, : hi - lo]
+        assert np.array_equal(dense, sparse.to_dense(matrix))
+        assert np.count_nonzero(stack) == matrix.nnz  # nothing in the padding
+        assert not stack.flags.writeable
+
+    @pytest.mark.parametrize("conv_cls", [GcnConv, GraphConv])
+    def test_conv_routes_agree_with_gradients(self, monkeypatch, conv_cls):
+        rng = np.random.default_rng(32)
+        stage, features = weighted_directed_stage(rng)
+        conv = conv_cls(3, 4, rng, "c")
+        proj = constant(rng.normal(size=(features.shape[0], 4)))
+        results = []
+        for by_blocks in (False, True):
+            forced_route(monkeypatch, by_blocks)
+            x = Tensor(features)
+            params = [p.tensor for p in conv.parameters()]
+            for t in params:
+                t.grad = None
+            with Tape():
+                out = conv(x, stage)
+                loss = diff.sum_all(diff.mul(out, proj))
+            backward(loss)
+            results.append([out.values, x.grad] + [t.grad for t in params])
+        for want, got in zip(*results):
+            assert rel_err(got, want) < 1e-12
+
+    @pytest.mark.parametrize("conv", harness.CONVS)
+    @pytest.mark.parametrize("backbone", harness.BACKBONES)
+    @pytest.mark.parametrize("pool", harness.POOLS)
+    def test_model_routes_agree(self, monkeypatch, pool, backbone, conv):
+        rng = np.random.default_rng(33)
+        batch = random_batch(rng, n_graphs=12)
+        cfg = harness.ModelConfig(backbone=backbone, conv=conv, pool=pool, hidden=8,
+                                  pre_mlp=(8,), post_mlp=(8,))
+        model = harness.build_model(cfg, 3, 2, seed=2, mean_nodes=batch.x.shape[0] / 12)
+        pools = model.pools
+        runs = []
+        for by_blocks in (False, True):
+            forced_route(monkeypatch, by_blocks)
+            calls = []
+
+            def recorder(p):
+                def record(x, a, gid):
+                    result = p(x, a, gid)
+                    calls.append((Stage.of(a, gid), result))
+                    return result
+                return record
+
+            model.pools = [None if p is None else recorder(p) for p in pools]
+            runs.append((model.forward(batch).values, calls))
+        (want, csr_calls), (got, block_calls) = runs
+        assert rel_err(got, want) < 1e-12
+        assert len(csr_calls) == len(block_calls) == sum(p is not None for p in pools)
+        for (stage, by_csr), (_, by_blocks) in zip(csr_calls, block_calls):
+            if by_csr.scores is not None:
+                assert_kept_sets_match_up_to_ties(by_csr.scores, by_blocks.scores, stage,
+                                                  cfg.ratio)
+
+    @pytest.mark.parametrize("kind", ["two_communities", "cycles_vs_paths"])
+    @pytest.mark.parametrize("conv", harness.CONVS)
+    def test_desk_stages_take_the_blocks(self, monkeypatch, kind, conv):
+        rule = layers._propagates_by_blocks
+        taken = []
+        monkeypatch.setattr(layers, "_propagates_by_blocks",
+                            lambda stage: taken.append(rule(stage)) or taken[-1])
+        data = dataset.make_synthetic(kind, 32, seed=5)
+        batch = dataset.make_batch(data.graphs)
+        for pool in harness.POOLS:
+            cfg = harness.ModelConfig(conv=conv, pool=pool)
+            harness.build_model(cfg, data.feature_dim, data.num_classes, seed=0,
+                                mean_nodes=data.mean_nodes).forward(batch)
+        assert taken and all(taken)
+
+    @pytest.mark.parametrize("conv_cls", [GcnConv, GraphConv])
+    def test_sparse_stage_takes_the_csr(self, monkeypatch, conv_cls):
+        rng = np.random.default_rng(34)
+        batch = ring_batch(rng, [400, 30, 40, 50])  # G m^2 = 4 * 400^2 > 32 * 3 * 520
+        assert not layers._propagates_by_blocks(batch)
+
+        def refused(*args):
+            raise AssertionError("the block view was used")
+
+        monkeypatch.setattr(diff, "block_spmm", refused)
+        conv = conv_cls(3, 2, rng, "c")
+        out = conv(constant(batch.x), batch)
+        assert out.shape == (batch.x.shape[0], 2)
+        assert "a_hat_blocks" not in vars(batch) and "a_blocks" not in vars(batch)
 
 
 class TestOneHopLocality:
