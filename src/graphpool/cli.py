@@ -140,21 +140,26 @@ def _cmd_train(args) -> int:
         raise SystemExit(f"--out {out} and its records CSV {csv_path} are the same file; "
                          "give --out another extension, e.g. .json")
     _require_out_directory(out)
+    if opts["runs"] < 1:
+        raise SystemExit(f"train: runs must be at least 1, got {opts['runs']}")
+    try:
+        # a set of combinations: a repeated value or alias trains once, in first place
+        models = list(dict.fromkeys(
+            harness.ModelConfig(backbone=_BACKBONE_ALIASES[backbone], conv=conv,
+                                pool=pool.replace("-", "_"), hidden=opts["hidden"],
+                                ratio=opts["ratio"])
+            for backbone in opts["backbone"] for conv in opts["conv"] for pool in opts["pool"]
+        ))
+        tcfg = harness.TrainConfig(
+            max_epochs=opts["max_epochs"],
+            patience=opts["patience"],
+            batch_size=opts["batch_size"],
+            lr=opts["lr"],
+            seed=opts["seed"],
+        )
+    except ValueError as exc:
+        raise SystemExit(f"train: {exc}") from None
     dataset = load_dataset(opts)
-    # a set of combinations: a repeated value or alias trains once, in first place
-    models = list(dict.fromkeys(
-        harness.ModelConfig(backbone=_BACKBONE_ALIASES[backbone], conv=conv,
-                            pool=pool.replace("-", "_"), hidden=opts["hidden"],
-                            ratio=opts["ratio"])
-        for backbone in opts["backbone"] for conv in opts["conv"] for pool in opts["pool"]
-    ))
-    tcfg = harness.TrainConfig(
-        max_epochs=opts["max_epochs"],
-        patience=opts["patience"],
-        batch_size=opts["batch_size"],
-        lr=opts["lr"],
-        seed=opts["seed"],
-    )
     print(f"dataset {dataset.name}: {len(dataset)} graphs, "
           f"{dataset.num_classes} classes, feature dim {dataset.feature_dim}")
     records = harness.evaluate_suite(

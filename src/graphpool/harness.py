@@ -41,7 +41,8 @@ class ModelConfig:
         if self.pool not in POOLS:
             raise ValueError(f"unknown pool {self.pool!r}")
         if self.hidden < 1 or any(w < 1 for w in self.pre_mlp + self.post_mlp):
-            raise ValueError("widths must be positive")
+            raise ValueError(f"widths must be positive, got hidden {self.hidden}, "
+                             f"pre_mlp {self.pre_mlp} and post_mlp {self.post_mlp}")
         pooling.check_ratio(self.ratio)
 
     @property
@@ -58,10 +59,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.max_epochs, self.patience, self.batch_size) < 1 or self.lr <= 0:
-            raise ValueError("training settings must be positive")
-        if not np.isfinite(self.lr):
-            raise ValueError(f"learning rate must be finite, got {self.lr}")
+        for name in ("max_epochs", "patience", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 
 @dataclass(frozen=True)

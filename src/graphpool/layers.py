@@ -73,6 +73,23 @@ def gcn_normalized(a: CsrMatrix) -> CsrMatrix:
     return CsrMatrix(ah.n_rows, ah.n_cols, ah.row_ptr, ah.col_idx, scaled)
 
 
+# A stage takes its block view (Stage.by_blocks) when the padded stack's
+# G * m^2 entries are at most FILL times nnz(A + I), the entries a_hat
+# stores, and its CSR otherwise, so no stack holds more than FILL times
+# the floats of the CSR it stands in for.  Measured with one BLAS thread,
+# stack build included.  Convolutions (forward + backward, width 128):
+# every stage of the three benchmark workloads reads at most 10.5 and ran
+# 1.4-5.4x faster on blocks; hand-built ring and 300-620-node
+# ring-plus-chord batches ran 1.3-1.5x faster at 31.5, 0.95-1.24x at 27,
+# 0.7x at 63 and 0.2-0.4x from 143 up.  lcpool's closure (21 stages of
+# desk, ring, ring-plus-chord and mixed large-and-desk batches, ratio
+# 0.5): the rule picked the faster route on 20, e.g. blocks 2.1 ms against
+# sparse 454 ms and sparse 2.7 ms against blocks 241 ms; the 21st, at
+# 32.7, ran sparse in 3.38 ms against blocks in 2.56 ms.  No benchmark
+# workload reaches the CSR side, so FILL is unverified there.
+FILL = 32
+
+
 @dataclass(frozen=True, eq=False)
 class Stage:
     """A block-diagonal batch of graphs: graph g owns the rows bounds[g] ..
@@ -125,6 +142,15 @@ class Stage:
         gid = self.graph_id
         return np.arange(gid.size) + gid * m - self.bounds[gid], m
 
+    @property
+    def by_blocks(self) -> bool:
+        """Whether the block view stands in for the CSR: G * m^2 <= FILL *
+        (nnz(A) + N), which is nnz(A + I) for an A without self-loops, as
+        every graph's and pooled stage's is.  The convolutions and lcpool's
+        closure all take the route it picks."""
+        _, m = self.layout
+        return (self.bounds.size - 1) * m * m <= FILL * (self.a.nnz + self.a.n_rows)
+
     def _block_stack(self, matrix: CsrMatrix) -> np.ndarray:
         """The read-only (G, m, m) stack of matrix's per-graph blocks, zero
         in every padded row and column, scattered from the CSR values."""
@@ -147,33 +173,12 @@ class Stage:
         return self._block_stack(self.a)
 
 
-# A convolution propagates through a stage's block view when the padded
-# stack's G * m^2 entries are at most FILL times nnz(A + I), the entries
-# a_hat stores, and through the CSR otherwise.  It is a memory bound too:
-# the stack is never more than FILL times as many floats as the CSR it
-# stands in for.  Picked from forward + backward at width 128, build
-# included, one BLAS thread: every stage of the three benchmark workloads
-# reads at most 10.5 and ran 1.4-5.4x faster on blocks; on hand-built
-# batches of rings and of 300-620-node ring-plus-chord graphs the blocks
-# ran 1.3-1.5x faster at 31.5, 0.95-1.24x at 27, 0.7x at 63 and 0.2-0.4x
-# from 143 up.  No benchmark workload reaches the CSR side, so the constant
-# is unverified there.
-FILL = 32
-
-
-def _propagates_by_blocks(stage: Stage) -> bool:
-    """G * m^2 <= FILL * (nnz(A) + N), which is nnz(A + I) for an A without
-    self-loops, as every graph's and pooled stage's is."""
-    _, m = stage.layout
-    return (stage.bounds.size - 1) * m * m <= FILL * (stage.a.nnz + stage.a.n_rows)
-
-
 class GcnConv(Module):
     """Degree-normalized convolution with self-loops: a Linear (parameter
     ``{name}.w``, no bias) applied to norm(A) @ X.
 
-    norm(A) is the stage's ``a_hat``.  A stage that passes the ``FILL``
-    rule multiplies by its block view, one batched matmul per pass
+    norm(A) is the stage's ``a_hat``.  A stage whose ``by_blocks`` holds
+    multiplies by its block view, one batched matmul per pass
     (:func:`diff.block_spmm`); any other goes through the CSR
     (:func:`diff.spmm_const`).  The two differ by float reassociation only.
     """
@@ -182,7 +187,7 @@ class GcnConv(Module):
         self.linear = Linear(in_dim, out_dim, rng, name, bias=False)
 
     def __call__(self, x: Tensor, stage: Stage) -> Tensor:
-        if _propagates_by_blocks(stage):
+        if stage.by_blocks:
             return self.linear(diff.block_spmm(stage.a_hat_blocks, stage.layout[0], x))
         return self.linear(diff.spmm_const(stage.a_hat, x))
 
@@ -197,7 +202,7 @@ class GraphConv(Module):
         self.nbr = Linear(in_dim, out_dim, rng, f"{name}.nbr", bias=False)
 
     def __call__(self, x: Tensor, stage: Stage) -> Tensor:
-        if _propagates_by_blocks(stage):
+        if stage.by_blocks:
             summed = diff.block_spmm(stage.a_blocks, stage.layout[0], x)
         else:
             summed = diff.spmm_const(stage.a, x)

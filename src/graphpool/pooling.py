@@ -169,17 +169,6 @@ def local_assignment_selection_pool(
                             lambda kept, _: rewire(s, stage.a, kept))
 
 
-# lcpool takes the block route when its padded multiply-adds F are at most
-# this many times P, the products the sparse route expands in its first
-# spgemm, and the two spgemm otherwise.  Picked
-# from twelve hierarchical lcpool stages on desk batches and on hand-built
-# batches of 300-620-node ring-plus-chord graphs: the blocks were faster on
-# every stage up to F/P = 625, the spgemm on every stage from F/P = 8,263.
-# Desk stages read F/P at most 161.  No benchmark workload reaches the
-# sparse side, so the constant is unverified there.
-BLOCK_ROUTE_FACTOR = 2048
-
-
 def _closure_by_sparse(a: CsrMatrix, kept: IndexSet) -> CsrMatrix:
     """Pooled closure pattern by :func:`rewire` over I + A: two spgemm."""
     return sparse.strip_diagonal(
@@ -210,29 +199,6 @@ def _closure_by_blocks(stage: Stage, kept: IndexSet, kept_bounds: np.ndarray) ->
     return sparse.ones_pattern(_block_diagonal(c, kept_bounds))
 
 
-def _blocks_pay(stage: Stage, kept: IndexSet, kept_bounds: np.ndarray) -> bool:
-    """F <= BLOCK_ROUTE_FACTOR * P for the pooled closure pattern.
-
-    F = G * k_max * m * (m + k_max) is the block route's multiply-adds.  P
-    is the products the sparse route expands in S_K^T A, S = I + A: deg(u)
-    summed over the entries (u, v) of S_K.
-    """
-    a = stage.a
-    in_kept = np.zeros(a.n_rows, dtype=bool)
-    in_kept[kept.indices] = True
-    degree = np.diff(a.row_ptr)
-    entry_degree = np.repeat(degree, degree)  # deg(u) of each stored entry (u, v)
-    p = int(entry_degree[in_kept[a.col_idx]].sum() + degree[kept.indices].sum())
-    m, k_max = stage.layout[1], int(np.diff(kept_bounds).max())
-    return (stage.bounds.size - 1) * k_max * m * (m + k_max) <= BLOCK_ROUTE_FACTOR * p
-
-
-def _closure_pattern(stage: Stage, kept: IndexSet, kept_bounds: np.ndarray) -> CsrMatrix:
-    if _blocks_pay(stage, kept, kept_bounds):
-        return _closure_by_blocks(stage, kept, kept_bounds)
-    return _closure_by_sparse(stage.a, kept)
-
-
 def lcpool(x: Tensor, stage: Stage, h: Tensor, ratio: float) -> PoolResult:
     """Local cluster pooling: select by the score column h, then rewire.
 
@@ -244,18 +210,19 @@ def lcpool(x: Tensor, stage: Stage, h: Tensor, ratio: float) -> PoolResult:
     adjacency is the pattern of :func:`rewire` over I + A, which is the
     three-hop closure ``(I+A)^T A (I+A)`` on the kept nodes, directed or
     not, with its self-loops stripped.  Only that pattern leaves the
-    routine, so it takes one of two exact routes per call: per-graph dense
-    0/1 blocks, two batched matmuls over a (G, m, m) stack, when their
-    multiply-adds F are at most ``BLOCK_ROUTE_FACTOR`` (2048) times the
-    products P that the sparse route expands in its first ``spgemm``, and
-    the two ``spgemm`` of :func:`rewire` otherwise.  Desk-scale stages
-    take the blocks; the constant's sparse side is unverified by the
-    benchmark.  Requires unweighted edges.
+    routine, so it takes one of two exact routes, by the stage's
+    ``by_blocks`` as the convolutions do: per-graph dense 0/1 blocks, two
+    batched matmuls over the stage's (G, m, m) block view of a, or the two
+    ``spgemm`` of :func:`rewire`.  Desk-scale stages take the blocks; no
+    benchmark workload reaches the sparse route.  Requires unweighted
+    edges.
     """
     if stage.a.nnz and np.any(stage.a.values != 1.0):
         raise ValueError("cluster selection requires unweighted edges")
-    return _select_and_gate(x, h, stage, ratio,
-                            lambda kept, bounds: _closure_pattern(stage, kept, bounds))
+    return _select_and_gate(
+        x, h, stage, ratio,
+        lambda kept, bounds: _closure_by_blocks(stage, kept, bounds) if stage.by_blocks
+        else _closure_by_sparse(stage.a, kept))
 
 
 def lcpool_star(x: Tensor, stage: Stage, cluster_conv: GcnConv, scorer: Lcsmp,

@@ -15,6 +15,7 @@ import pytest
 
 from graphpool import harness
 from graphpool.dataset import make_batch, make_synthetic
+from graphpool.layers import Stage
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -46,8 +47,7 @@ def test_trace_target_resolves(target):
     assert callable(owner)
 
 
-@pytest.mark.parametrize("pool", harness.POOLS)
-def test_oracle_accepts_every_stage(pool):
+def _assert_oracle_accepts_every_stage(pool):
     data = make_synthetic("cycles_vs_paths", 8, seed=0)
     batch = make_batch(data.graphs)
     cfg = harness.ModelConfig(pool=pool, hidden=8, pre_mlp=(8,), post_mlp=(8,))
@@ -57,3 +57,16 @@ def test_oracle_accepts_every_stage(pool):
     assert len(stages) == (0 if pool == "nopool" else harness.N_BLOCKS)
     for stage in stages:
         assert oracle.check_stage(stage, cfg.ratio) is None
+
+
+@pytest.mark.parametrize("pool", harness.POOLS)
+def test_oracle_accepts_every_stage(pool):
+    _assert_oracle_accepts_every_stage(pool)
+
+
+@pytest.mark.parametrize("pool", harness.POOLS)
+def test_oracle_accepts_every_stage_on_the_csr_route(monkeypatch, pool):
+    # no workload's stage fails the FILL rule, so the probe gate sees the
+    # sparse closure and the CSR convolutions only here
+    monkeypatch.setattr(Stage, "by_blocks", property(lambda stage: False))
+    _assert_oracle_accepts_every_stage(pool)

@@ -146,6 +146,23 @@ class TestTrainCommand:
             main(["train", "--dataset", "synthetic:cycles_vs_paths", "--out", str(out)])
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--ratio", "0", "pool ratio"), ("--lr", "-1", "lr"), ("--runs", "0", "runs"),
+        ("--hidden", "0", "widths must be positive, got hidden 0"),
+        ("--max-epochs", "0", "max_epochs")])
+    def test_bad_setting_refused_before_loading(self, tmp_path, monkeypatch, flag, value,
+                                                named):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the dataset loaded or a run started")
+
+        monkeypatch.setattr("graphpool.cli.load_dataset", no_run)
+        monkeypatch.setattr(harness, "evaluate_suite", no_run)
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit, match=rf"^train: {named}\b"):
+            main(["train", "--dataset", "synthetic:cycles_vs_paths", "--out", str(out),
+                  flag, value])
+        assert not out.exists()
+
     def test_rank_out_in_missing_directory_refused_before_loading(self, tmp_path, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("the records loaded or were ranked")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import cycle, path4, random_adjacency_dense, single_graph
-from graphpool import dataset, diff, harness, layers, pooling, sparse
+from graphpool import dataset, diff, harness, pooling, sparse
 from graphpool.diff import Parameter, Tape, Tensor, backward, constant
 from graphpool.layers import (
     GcnConv,
@@ -364,11 +364,12 @@ def weighted_directed_stage(rng):
 
 
 def forced_route(monkeypatch, by_blocks):
-    monkeypatch.setattr(layers, "_propagates_by_blocks", lambda stage: by_blocks)
+    monkeypatch.setattr(Stage, "by_blocks", property(lambda stage: by_blocks))
 
 
 class TestPropagationRoutes:
-    """GcnConv and GraphConv propagate by a stage's block view or its CSR."""
+    """GcnConv, GraphConv and lcpool's closure take a stage's block view or
+    its CSR, as its by_blocks picks."""
 
     def test_layout_places_each_node_in_its_graphs_block(self):
         batch = random_batch(np.random.default_rng(30))
@@ -444,10 +445,10 @@ class TestPropagationRoutes:
     @pytest.mark.parametrize("kind", ["two_communities", "cycles_vs_paths"])
     @pytest.mark.parametrize("conv", harness.CONVS)
     def test_desk_stages_take_the_blocks(self, monkeypatch, kind, conv):
-        rule = layers._propagates_by_blocks
+        rule = Stage.by_blocks.fget
         taken = []
-        monkeypatch.setattr(layers, "_propagates_by_blocks",
-                            lambda stage: taken.append(rule(stage)) or taken[-1])
+        monkeypatch.setattr(Stage, "by_blocks",
+                            property(lambda stage: taken.append(rule(stage)) or taken[-1]))
         data = dataset.make_synthetic(kind, 32, seed=5)
         batch = dataset.make_batch(data.graphs)
         for pool in harness.POOLS:
@@ -460,7 +461,7 @@ class TestPropagationRoutes:
     def test_sparse_stage_takes_the_csr(self, monkeypatch, conv_cls):
         rng = np.random.default_rng(34)
         batch = ring_batch(rng, [400, 30, 40, 50])  # G m^2 = 4 * 400^2 > 32 * 3 * 520
-        assert not layers._propagates_by_blocks(batch)
+        assert not batch.by_blocks
 
         def refused(*args):
             raise AssertionError("the block view was used")

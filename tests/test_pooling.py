@@ -424,14 +424,21 @@ class TestClosureRoutes:
         batch = self._mixed_batch(np.random.default_rng(15))
         assert self._routes_taken(monkeypatch, batch, 1) == ["_closure_by_sparse"]
 
-    @pytest.mark.parametrize("blocks", [False, True])
-    def test_edge_joining_two_graphs_rejected_on_either_route(self, monkeypatch, blocks):
+    def test_stage_failing_the_fill_rule_takes_the_sparse_route(self, monkeypatch):
+        n = 161
+        ring = np.arange(n)
+        cols = np.concatenate([(ring + step) % n for step in (1, -1, 2, -2)])
+        circulant = CsrMatrix.from_coo(n, n, np.tile(ring, 4), cols, np.ones(4 * n))  # C_161(1, 2)
+        batch = make_batch([Graph(n, np.ones((n, 1)), circulant, label) for label in (0, 1)])
+        assert not batch.by_blocks  # G m^2 = 2 * 161^2 > 32 * (4 * 322 + 322)
+        assert self._routes_taken(monkeypatch, batch, 1) == ["_closure_by_sparse"]
+        assert "a_blocks" not in vars(batch)
+
+    def test_edge_joining_two_graphs_rejected_before_any_route(self):
         batch = make_batch([Graph(4, np.eye(4), path4(), 0), Graph(4, np.eye(4), path4(), 1)])
         a = batch.a
         joined = CsrMatrix.from_coo(8, 8, np.append(sparse.row_indices(a), 2),
                                     np.append(a.col_idx, 5), np.ones(a.nnz + 1))
-        monkeypatch.setattr(pooling, "_blocks_pay", lambda *_: blocks)
-        # the stage's one check rejects the edge whichever closure route would run
         with pytest.raises(ValueError, match=r"entry \(2, 5\) joins graphs 0 and 1"):
             lcpool(constant(batch.x), Stage.of(joined, batch.graph_id),
                    fixed_score(np.arange(8.0)), 0.5)
