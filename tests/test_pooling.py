@@ -434,11 +434,14 @@ class TestClosureRoutes:
         assert self._routes_taken(monkeypatch, batch, 1) == ["_closure_by_sparse"]
         assert "a_blocks" not in vars(batch)
 
-    def test_edge_joining_two_graphs_rejected_before_any_route(self):
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_edge_joining_two_graphs_rejected_on_either_route(self, monkeypatch, blocks):
         batch = make_batch([Graph(4, np.eye(4), path4(), 0), Graph(4, np.eye(4), path4(), 1)])
         a = batch.a
         joined = CsrMatrix.from_coo(8, 8, np.append(sparse.row_indices(a), 2),
                                     np.append(a.col_idx, 5), np.ones(a.nnz + 1))
+        monkeypatch.setattr(Stage, "by_blocks", property(lambda _: blocks))
+        # the stage's one check rejects the edge whichever closure route the rule picks
         with pytest.raises(ValueError, match=r"entry \(2, 5\) joins graphs 0 and 1"):
             lcpool(constant(batch.x), Stage.of(joined, batch.graph_id),
                    fixed_score(np.arange(8.0)), 0.5)
