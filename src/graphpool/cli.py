@@ -8,7 +8,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import harness, selfcheck
-from .dataset import SYNTHETIC_KINDS, load_tudataset, make_synthetic
+from .dataset import SYNTHETIC_KINDS, load_tudataset, make_synthetic, split_sizes
 
 _BACKBONE_ALIASES = {"h": "hierarchical", "p": "plain",
                      "hierarchical": "hierarchical", "plain": "plain"}
@@ -142,6 +142,13 @@ def _cmd_train(args) -> int:
     _require_out_directory(out)
     if opts["runs"] < 1:
         raise SystemExit(f"train: runs must be at least 1, got {opts['runs']}")
+    if opts["seed"] < 0:
+        raise SystemExit(f"train: --seed must be non-negative, got {opts['seed']}")
+    if (opts["dataset"] or "").startswith("synthetic:"):
+        try:
+            split_sizes(opts["synthetic_size"], harness.SPLIT_RATIOS)
+        except ValueError as exc:
+            raise SystemExit(f"train: --synthetic-size {opts['synthetic_size']}: {exc}") from None
     try:
         # a set of combinations: a repeated value or alias trains once, in first place
         models = list(dict.fromkeys(

@@ -97,8 +97,8 @@ def make_batch(graphs: list[Graph]) -> GraphBatch:
     )
 
 
-def split(dataset: Dataset, ratios, seed: int) -> tuple[Dataset, Dataset, Dataset]:
-    """Deterministic shuffled train/val/test split.
+def split_sizes(n: int, ratios) -> tuple[int, int, int]:
+    """(train, val, test) sizes of a split of n graphs; none may be empty.
 
     Validation and test sizes are floored; the remainder goes to train so the
     training set stays the largest.
@@ -106,12 +106,18 @@ def split(dataset: Dataset, ratios, seed: int) -> tuple[Dataset, Dataset, Datase
     tr, va, te = ratios
     if min(tr, va, te) <= 0 or abs(tr + va + te - 1.0) > 1e-9:
         raise ValueError(f"ratios must be positive and sum to 1, got {ratios}")
-    n = len(dataset)
     n_val = int(np.floor(n * va))
     n_test = int(np.floor(n * te))
     n_train = n - n_val - n_test
     if min(n_train, n_val, n_test) < 1:
         raise ValueError(f"split of {n} graphs leaves an empty part")
+    return n_train, n_val, n_test
+
+
+def split(dataset: Dataset, ratios, seed: int) -> tuple[Dataset, Dataset, Dataset]:
+    """Deterministic shuffled train/val/test split of :func:`split_sizes`."""
+    n = len(dataset)
+    n_train, n_val, _ = split_sizes(n, ratios)
     order = np.random.default_rng(seed).permutation(n)
     parts = (
         order[:n_train],

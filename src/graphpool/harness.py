@@ -207,7 +207,7 @@ class Model(Module):
                 stage = pool(x, stage.a, stage.graph_id)
                 x = stage.x
             if hierarchical or i == N_BLOCKS - 1:
-                r = readout(x, stage.bounds)
+                r = readout(x, stage)
                 summed = r if summed is None else diff.add(summed, r)
         return self.classifier(summed)
 

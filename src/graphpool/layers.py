@@ -85,8 +85,10 @@ def gcn_normalized(a: CsrMatrix) -> CsrMatrix:
 # desk, ring, ring-plus-chord and mixed large-and-desk batches, ratio
 # 0.5): the rule picked the faster route on 20, e.g. blocks 2.1 ms against
 # sparse 454 ms and sparse 2.7 ms against blocks 241 ms; the 21st, at
-# 32.7, ran sparse in 3.38 ms against blocks in 2.56 ms.  No benchmark
-# workload reaches the CSR side, so FILL is unverified there.
+# 32.7, ran sparse in 3.38 ms against blocks in 2.56 ms.  The readout
+# (segment mean and max, width 128): desk batches ran 1.3-4.5x faster
+# padded, one 620-node ring among 31 graphs of 10-60 nodes 4-9x slower.
+# No benchmark workload reaches the CSR side, so FILL is unverified there.
 FILL = 32
 
 
@@ -146,8 +148,8 @@ class Stage:
     def by_blocks(self) -> bool:
         """Whether the block view stands in for the CSR: G * m^2 <= FILL *
         (nnz(A) + N), which is nnz(A + I) for an A without self-loops, as
-        every graph's and pooled stage's is.  The convolutions and lcpool's
-        closure all take the route it picks."""
+        every graph's and pooled stage's is.  The convolutions, lcpool's
+        closure and the readout all take the route it picks."""
         _, m = self.layout
         return (self.bounds.size - 1) * m * m <= FILL * (self.a.nnz + self.a.n_rows)
 
@@ -241,6 +243,13 @@ class Lcsmp(Module):
         return diff.segment_softmax(self.pre_softmax(x, stage.a), stage.bounds)
 
 
-def readout(x: Tensor, bounds: np.ndarray) -> Tensor:
-    """Per-graph concat(mean, max) over a stage's extents; width doubles."""
-    return diff.concat_cols(diff.segment_mean(x, bounds), diff.segment_max(x, bounds))
+def readout(x: Tensor, stage: Stage) -> Tensor:
+    """Per-graph concat(mean, max) over a stage's graphs; width doubles.
+
+    A stage whose ``by_blocks`` holds reduces x through its padded layout,
+    any other graph by graph (see :func:`diff.segment_max`); the two routes
+    give the same bits.
+    """
+    layout = stage.layout if stage.by_blocks else None
+    return diff.concat_cols(diff.segment_mean(x, stage.bounds, layout),
+                            diff.segment_max(x, stage.bounds, layout))

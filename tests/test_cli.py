@@ -149,7 +149,9 @@ class TestTrainCommand:
     @pytest.mark.parametrize("flag, value, named", [
         ("--ratio", "0", "pool ratio"), ("--lr", "-1", "lr"), ("--runs", "0", "runs"),
         ("--hidden", "0", "widths must be positive, got hidden 0"),
-        ("--max-epochs", "0", "max_epochs")])
+        ("--max-epochs", "0", "max_epochs"), ("--seed", "-1", "--seed must be non-negative"),
+        ("--synthetic-size", "9", "--synthetic-size 9: split of 9 graphs leaves an empty part"),
+        ("--synthetic-size", "0", "--synthetic-size 0")])
     def test_bad_setting_refused_before_loading(self, tmp_path, monkeypatch, flag, value,
                                                 named):
         def no_run(*args, **kwargs):

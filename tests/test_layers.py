@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import cycle, path4, random_adjacency_dense, single_graph
+from helpers import cycle, edgeless, path4, random_adjacency_dense, single_graph
 from graphpool import dataset, diff, harness, pooling, sparse
 from graphpool.diff import Parameter, Tape, Tensor, backward, constant
 from graphpool.layers import (
@@ -473,6 +473,73 @@ class TestPropagationRoutes:
         assert "a_hat_blocks" not in vars(batch) and "a_blocks" not in vars(batch)
 
 
+class TestReadoutRoutes:
+    """readout reduces a stage through its padded layout where by_blocks
+    holds and graph by graph elsewhere, with the same bits either way."""
+
+    @staticmethod
+    def record_layouts(monkeypatch):
+        """The layouts readout hands to the segment reductions, in call order."""
+        layouts = []
+        for name in ("segment_mean", "segment_max"):
+            def recorded(x, bounds, layout=None, op=getattr(diff, name)):
+                layouts.append(layout)
+                return op(x, bounds, layout)
+            monkeypatch.setattr(diff, name, recorded)
+        return layouts
+
+    @pytest.mark.parametrize("kind", ["two_communities", "cycles_vs_paths"])
+    def test_desk_stages_take_the_padded_layout(self, monkeypatch, kind):
+        layouts = self.record_layouts(monkeypatch)
+        data = dataset.make_synthetic(kind, 32, seed=5)
+        batch = dataset.make_batch(data.graphs)
+        for pool in harness.POOLS:
+            cfg = harness.ModelConfig(pool=pool, hidden=8, pre_mlp=(8,), post_mlp=(8,))
+            harness.build_model(cfg, data.feature_dim, data.num_classes, seed=0,
+                                mean_nodes=data.mean_nodes).forward(batch)
+        assert len(layouts) == 2 * 3 * len(harness.POOLS)
+        assert all(layout is not None for layout in layouts)
+
+    def test_skewed_batch_takes_the_loop(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        batch = ring_batch(rng, [620, *rng.integers(10, 61, size=31)])
+        assert not batch.by_blocks
+        layouts = self.record_layouts(monkeypatch)
+        out = readout(constant(batch.x), batch)
+        assert out.shape == (32, 6)
+        assert layouts == [None, None]
+
+    @pytest.mark.parametrize("backbone", harness.BACKBONES)
+    @pytest.mark.parametrize("pool", harness.POOLS)
+    def test_logits_and_gradients_bit_equal_across_routes(self, monkeypatch, pool, backbone):
+        data = dataset.make_synthetic("two_communities", 16, seed=6)
+        batch = dataset.make_batch(data.graphs)
+        cfg = harness.ModelConfig(backbone=backbone, pool=pool, hidden=8, pre_mlp=(8,),
+                                  post_mlp=(8,))
+        model = harness.build_model(cfg, data.feature_dim, data.num_classes, seed=3,
+                                    mean_nodes=data.mean_nodes)
+        params = [p.tensor for p in model.parameters()]
+        runs = []
+        for by_layout in (True, False):
+            if by_layout:
+                layouts = self.record_layouts(monkeypatch)
+            else:  # drop the layout: the readout reduces graph by graph
+                monkeypatch.undo()
+                for name in ("segment_mean", "segment_max"):
+                    monkeypatch.setattr(diff, name, lambda x, bounds, layout=None,
+                                        op=getattr(diff, name): op(x, bounds))
+            for t in params:
+                t.grad = None
+            with Tape():
+                logits = model.forward(batch)
+                loss = diff.cross_entropy(logits, batch.labels)
+            backward(loss)
+            runs.append([logits.values] + [t.grad for t in params])
+        assert layouts and all(layout is not None for layout in layouts)
+        for got, want in zip(*runs, strict=True):
+            assert np.array_equal(got, want)
+
+
 class TestOneHopLocality:
     """Zeroing features beyond one hop must not change a node's output row."""
 
@@ -515,11 +582,11 @@ class TestMlpAndReadout:
 
     def test_single_node_readout_duplicates_row(self):
         x = constant([[1.0, 2.0]])
-        out = readout(x, [0, 1])
+        out = readout(x, edgeless([0]))
         assert np.array_equal(out.values, [[1.0, 2.0, 1.0, 2.0]])
 
     def test_mean_then_max_blocks(self):
-        out = readout(constant([[1.0], [3.0]]), [0, 2])
+        out = readout(constant([[1.0], [3.0]]), edgeless([0, 0]))
         assert np.array_equal(out.values, [[2.0, 3.0]])
 
     def test_linear_matches_formula(self):

@@ -135,9 +135,11 @@ def test_segment_mean_matches_add_at(case):
         with pytest.raises(ValueError, match="segment ids are empty"):
             Stage.of(CsrMatrix.empty(0, 0), seg)
         return
-    out = diff.segment_mean(x, np.concatenate([[0], np.cumsum(lengths)]))
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
     ref = add_at_rows(lengths.size, seg, x.values) / lengths[:, None]
-    assert np.array_equal(out.values, ref)
+    assert np.array_equal(diff.segment_mean(x, bounds).values, ref)
+    layout = Stage(CsrMatrix.empty(seg.size, seg.size), bounds).layout
+    assert np.array_equal(diff.segment_mean(x, bounds, layout).values, ref)
 
 
 @pytest.mark.parametrize("case", ["empty-rows", "hub-row", "nnz-0", "one-row"])
@@ -201,3 +203,45 @@ def test_segment_max_matches_argmax_loop():
     ref_grad = np.zeros_like(xv)
     np.add.at(ref_grad, (argrows.ravel(), np.tile(np.arange(5), lengths.size)), upstream.ravel())
     assert np.array_equal(x.grad, ref_grad)
+
+
+def _padded_max_case(kind, rng):
+    """(segment lengths, values) drawing ties the loop and the stack may
+    resolve differently: +0/-0 at the max, infinities, NaN, long segments."""
+    lengths = rng.integers(1, 9, size=24)
+    if kind == "long":
+        lengths[2] = rng.integers(128, 400)  # slot weights no longer fit an int8
+    # most segments' max is a tie of +0 and -0
+    xv = rng.choice([-2.0, -1.0, 0.0, -0.0], size=(lengths.sum(), 6))
+    if kind == "inf":
+        xv[rng.random(xv.shape) < 0.3] = np.inf
+        xv[rng.random(xv.shape) < 0.5] = -np.inf  # some segments are -inf throughout
+    elif kind == "nan":
+        xv[rng.random(xv.shape) < 0.15] = np.nan
+    return lengths, xv
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+@pytest.mark.parametrize("kind", ["signed-zero", "inf", "nan", "long"])
+def test_padded_segment_max_matches_argmax_loop(kind, taped):
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        lengths, xv = _padded_max_case(kind, rng)
+        seg = np.repeat(np.arange(lengths.size), lengths)
+        bounds = np.concatenate([[0], np.cumsum(lengths)])
+        layout = Stage(CsrMatrix.empty(seg.size, seg.size), bounds).layout
+        x = Tensor(xv)
+        if not taped:
+            out = diff.segment_max(x, bounds, layout)
+        else:
+            upstream = rng.normal(size=(lengths.size, xv.shape[1]))
+            with Tape(), np.errstate(invalid="ignore"):  # the loss may read inf - inf
+                out = diff.segment_max(x, bounds, layout)
+                loss = diff.sum_all(diff.mul(out, constant(upstream)))
+            backward(loss)
+        vals, argrows = segment_max_loop(xv, seg, lengths.size)
+        assert np.array_equal(out.values.view(np.int64), vals.view(np.int64))  # sign and NaN too
+        if taped:
+            ref_grad = np.zeros_like(xv)
+            ref_grad[argrows, np.arange(xv.shape[1])] = upstream
+            assert np.array_equal(x.grad, ref_grad)
