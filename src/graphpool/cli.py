@@ -8,7 +8,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import harness, selfcheck
-from .dataset import SYNTHETIC_KINDS, load_tudataset, make_synthetic, split_sizes
+from .dataset import load_tudataset, make_synthetic, split_sizes
 
 _BACKBONE_ALIASES = {"h": "hierarchical", "p": "plain",
                      "hierarchical": "hierarchical", "plain": "plain"}
@@ -117,39 +117,36 @@ def _train_settings(args: argparse.Namespace) -> dict:
 def load_dataset(opts: dict):
     name = opts["dataset"]
     if name is None:
-        raise SystemExit("train requires --dataset (flag or config file)")
+        raise ValueError("--dataset is required (flag or config file)")
     if name.startswith("synthetic:"):
-        kind = name.split(":", 1)[1]
-        if kind not in SYNTHETIC_KINDS:
-            raise SystemExit(f"unknown synthetic kind {kind!r}; choose from {SYNTHETIC_KINDS}")
-        return make_synthetic(kind, opts["synthetic_size"], seed=opts["seed"])
+        return make_synthetic(name.split(":", 1)[1], opts["synthetic_size"], seed=opts["seed"])
     return load_tudataset(opts["data_root"], name)
 
 
 def _require_out_directory(out: str) -> None:
     """Refuse an --out path whose directory is missing, before any work."""
     if not os.path.isdir(os.path.dirname(out) or "."):
-        raise SystemExit(f"--out {out}: directory {os.path.dirname(out)} does not exist")
+        raise ValueError(f"--out {out}: directory {os.path.dirname(out)} does not exist")
 
 
 def _cmd_train(args) -> int:
-    opts = _train_settings(args)
-    out = opts["out"]
-    csv_path = os.path.splitext(out)[0] + ".csv"
-    if csv_path == out:
-        raise SystemExit(f"--out {out} and its records CSV {csv_path} are the same file; "
-                         "give --out another extension, e.g. .json")
-    _require_out_directory(out)
-    if opts["runs"] < 1:
-        raise SystemExit(f"train: runs must be at least 1, got {opts['runs']}")
-    if opts["seed"] < 0:
-        raise SystemExit(f"train: --seed must be non-negative, got {opts['seed']}")
-    if (opts["dataset"] or "").startswith("synthetic:"):
-        try:
-            split_sizes(opts["synthetic_size"], harness.SPLIT_RATIOS)
-        except ValueError as exc:
-            raise SystemExit(f"train: --synthetic-size {opts['synthetic_size']}: {exc}") from None
-    try:
+    try:  # reading only: a fault in training or writing keeps its traceback
+        opts = _train_settings(args)
+        out = opts["out"]
+        csv_path = os.path.splitext(out)[0] + ".csv"
+        if csv_path == out:
+            raise ValueError(f"--out {out} and its records CSV {csv_path} are the same file; "
+                             "give --out another extension, e.g. .json")
+        _require_out_directory(out)
+        if opts["runs"] < 1:
+            raise ValueError(f"runs must be at least 1, got {opts['runs']}")
+        if opts["seed"] < 0:
+            raise ValueError(f"--seed must be non-negative, got {opts['seed']}")
+        if (opts["dataset"] or "").startswith("synthetic:"):
+            try:
+                split_sizes(opts["synthetic_size"], harness.SPLIT_RATIOS)
+            except ValueError as exc:
+                raise ValueError(f"--synthetic-size {opts['synthetic_size']}: {exc}") from None
         # a set of combinations: a repeated value or alias trains once, in first place
         models = list(dict.fromkeys(
             harness.ModelConfig(backbone=_BACKBONE_ALIASES[backbone], conv=conv,
@@ -164,9 +161,9 @@ def _cmd_train(args) -> int:
             lr=opts["lr"],
             seed=opts["seed"],
         )
-    except ValueError as exc:
+        dataset = load_dataset(opts)
+    except (ValueError, OSError) as exc:
         raise SystemExit(f"train: {exc}") from None
-    dataset = load_dataset(opts)
     print(f"dataset {dataset.name}: {len(dataset)} graphs, "
           f"{dataset.num_classes} classes, feature dim {dataset.feature_dim}")
     records = harness.evaluate_suite(
@@ -186,8 +183,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    _require_out_directory(args.out)
-    records = harness.load_records(args.in_path)
+    try:
+        _require_out_directory(args.out)
+        records = harness.load_records(args.in_path)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"rank: {exc}") from None
     table = harness.rank(records)
     text = harness.ranking_csv(table)
     with open(args.out, "w") as fh:

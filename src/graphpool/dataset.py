@@ -323,7 +323,7 @@ def make_synthetic(kind: str, n_graphs: int, seed: int) -> Dataset:
     bridge edges.
     """
     if kind not in SYNTHETIC_KINDS:
-        raise ValueError(f"unknown synthetic kind {kind!r}")
+        raise ValueError(f"unknown synthetic kind {kind!r}; choose from {SYNTHETIC_KINDS}")
     rng = np.random.default_rng(seed)
     graphs = []
     for i in range(n_graphs):

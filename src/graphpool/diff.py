@@ -326,18 +326,18 @@ def spmm_const(a: CsrMatrix, x: Tensor) -> Tensor:
 def block_spmm(stack: np.ndarray, slot: np.ndarray, x: Tensor) -> Tensor:
     """Block-diagonal @ dense with the (G, m, m) stack of blocks held constant.
 
-    Row i of x goes to row slot[i] of a zeroed (G * m)-row buffer, one
-    batched matmul multiplies block g into rows g * m .. g * m + m - 1, and
-    the rows slot are gathered back; the backward pass does the same with
-    every block transposed, so no transposed matrix is formed.  Rows and
-    columns of the stack that no slot names must be zero.
+    Row i of x goes to row slot[i] of a zeroed (G, m, cols) stack
+    (:func:`_padded`), one batched matmul multiplies block g into slots
+    g * m .. g * m + m - 1, and the rows slot are gathered back; the
+    backward pass does the same with every block transposed, so no
+    transposed matrix is formed.  Rows and columns of the stack that no
+    slot names must be zero.
     """
     n_graphs, m, _ = stack.shape
 
     def apply(blocks, v):
-        buf = np.zeros((n_graphs * m, v.shape[1]))
-        buf[slot] = v
-        return np.matmul(blocks, buf.reshape(n_graphs, m, -1)).reshape(n_graphs * m, -1)[slot]
+        product = np.matmul(blocks, _padded(v, (slot, m), n_graphs, 0.0))
+        return product.reshape(n_graphs * m, -1)[slot]
 
     out = Tensor(apply(stack, x.values))
 
@@ -400,7 +400,9 @@ def _padded(values: np.ndarray, layout, n_segments: int, fill: float) -> np.ndar
     """The (G, m, cols) stack holding row i of values at slot[i] of the
     padded layout (slot, m), and fill in every slot no row takes."""
     slot, m = layout
-    stack = np.full((n_segments * m, values.shape[1]), fill)
+    stack = np.zeros((n_segments * m, values.shape[1]))
+    if fill != 0.0:
+        stack.fill(fill)
     stack[slot] = values
     return stack.reshape(n_segments, m, -1)
 

@@ -405,9 +405,24 @@ def save_records(records: list[RunRecord], path) -> None:
 
 
 def load_records(path) -> list[RunRecord]:
+    """The records of a results JSON as :func:`save_records` writes it.
+
+    A file that is not JSON, has no ``records`` list, or holds a record that
+    lacks a field or has a bad value raises ``ValueError`` naming the file.
+    """
     with open(path) as fh:
-        data = json.load(fh)
-    return [_record_from_dict(d) for d in data["records"]]
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("records"), list):
+        raise ValueError(f"{path}: no 'records' list")
+    try:
+        return [_record_from_dict(d) for d in data["records"]]
+    except KeyError as exc:
+        raise ValueError(f"{path}: a record lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad record: {exc}") from None
 
 
 def _csv_text(header, rows) -> str:

@@ -186,6 +186,60 @@ class TestTrainCommand:
             main(["train", "--out", str(tmp_path / "r.json")])
 
 
+def _write(path, text):
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text)
+    return path
+
+
+def _toy_dataset(root, a_text=None):
+    """Two 2-node graphs as the TUDataset TOY under root, with a_text as
+    TOY_A.txt (no such file when None); returns that file's path."""
+    _write(root / "TOY" / "TOY_graph_indicator.txt", "1\n1\n2\n2\n")
+    _write(root / "TOY" / "TOY_graph_labels.txt", "0\n1\n")
+    a_path = root / "TOY" / "TOY_A.txt"
+    return a_path if a_text is None else _write(a_path, a_text)
+
+
+def _train_toy(tmp, *extra):
+    return ["train", "--out", str(tmp / "r.json"), "--dataset", "TOY",
+            "--data-root", str(tmp), *extra]
+
+
+def _rank(in_path):
+    return ["rank", "--in", str(in_path), "--out", str(in_path.parent / "rank.csv")]
+
+
+# Each case writes its input under tmp and returns the argv and the text the
+# refusal must hold: the file, and its line where the reader names one.
+_UNREADABLE_INPUTS = {
+    "missing-config": lambda tmp: (
+        _train_toy(tmp, "--config", str(tmp / "none.cfg")), str(tmp / "none.cfg")),
+    "config-unknown-key": lambda tmp: (
+        _train_toy(tmp, "--config", str(_write(tmp / "run.cfg", "seed = 1\nlrr = 0.1\n"))),
+        f"{tmp / 'run.cfg'}:2: unknown option 'lrr'"),
+    "missing-A-file": lambda tmp: (
+        _train_toy(tmp), f"missing mandatory file {_toy_dataset(tmp)}"),
+    "malformed-A-line": lambda tmp: (
+        _train_toy(tmp), str(_toy_dataset(tmp, "1, 2\n3, x\n"))
+        + ", line 2: expected 2 comma-separated integers"),
+    "missing-rank-input": lambda tmp: (_rank(tmp / "none.json"), str(tmp / "none.json")),
+    "results-without-records": lambda tmp: (
+        _rank(_write(tmp / "r.json", '{"rows": []}')), f"{tmp / 'r.json'}: no 'records' list"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREADABLE_INPUTS))
+def test_unreadable_input_refused_in_one_line(tmp_path, case):
+    argv, named = _UNREADABLE_INPUTS[case](tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as refusal:
+        main(argv)
+    assert refusal.value.code.startswith(f"{argv[0]}: ")
+    assert named in refusal.value.code
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_parser_pool_choices_use_hyphens():
     parser = build_parser()
     args = parser.parse_args(["train", "--dataset", "x", "--pool", "lcpool-star"])

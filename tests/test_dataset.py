@@ -435,3 +435,7 @@ class TestSynthetic:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_synthetic("nope", 10, seed=0)
+
+    def test_unknown_kind_names_the_kinds(self):
+        with pytest.raises(ValueError, match="choose from .*'cycles_vs_paths', 'two_communities'"):
+            make_synthetic("nope", 10, seed=0)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 from dataclasses import replace
 
@@ -460,6 +461,17 @@ class TestReporting:
             rec["model"]["dense_clusters"] = None
         path.write_text(json.dumps(data))
         assert load_records(path) == records
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"rows": []}', "no 'records' list"), ('{"records": {}}', "no 'records' list"),
+        ("[1, 2]", "no 'records' list"), ("{", "Expecting property name"),
+        ('{"records": [{"model": {}}]}', "a record lacks field 'pre_mlp'"),
+        ('{"records": [{"dataset": "d"}]}', "a record lacks field 'model'")])
+    def test_malformed_results_rejected_naming_the_file(self, tmp_path, text, named):
+        path = tmp_path / "records.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {named}')}"):
+            load_records(path)
 
     def test_csv_matches_golden_file(self):
         with open(GOLDEN) as fh:

@@ -424,27 +424,38 @@ class TestClosureRoutes:
         batch = self._mixed_batch(np.random.default_rng(15))
         assert self._routes_taken(monkeypatch, batch, 1) == ["_closure_by_sparse"]
 
-    def test_stage_failing_the_fill_rule_takes_the_sparse_route(self, monkeypatch):
+    @staticmethod
+    def _circulant_pair():
+        """Two copies of C_161(1, 2): each node joined to the two on either side."""
         n = 161
         ring = np.arange(n)
         cols = np.concatenate([(ring + step) % n for step in (1, -1, 2, -2)])
-        circulant = CsrMatrix.from_coo(n, n, np.tile(ring, 4), cols, np.ones(4 * n))  # C_161(1, 2)
-        batch = make_batch([Graph(n, np.ones((n, 1)), circulant, label) for label in (0, 1)])
+        circulant = CsrMatrix.from_coo(n, n, np.tile(ring, 4), cols, np.ones(4 * n))
+        return make_batch([Graph(n, np.ones((n, 1)), circulant, label) for label in (0, 1)])
+
+    def test_stage_failing_the_fill_rule_takes_the_sparse_route(self, monkeypatch):
+        batch = self._circulant_pair()
         assert not batch.by_blocks  # G m^2 = 2 * 161^2 > 32 * (4 * 322 + 322)
         assert self._routes_taken(monkeypatch, batch, 1) == ["_closure_by_sparse"]
         assert "a_blocks" not in vars(batch)
 
     @pytest.mark.parametrize("blocks", [False, True])
-    def test_edge_joining_two_graphs_rejected_on_either_route(self, monkeypatch, blocks):
-        batch = make_batch([Graph(4, np.eye(4), path4(), 0), Graph(4, np.eye(4), path4(), 1)])
-        a = batch.a
-        joined = CsrMatrix.from_coo(8, 8, np.append(sparse.row_indices(a), 2),
-                                    np.append(a.col_idx, 5), np.ones(a.nnz + 1))
-        monkeypatch.setattr(Stage, "by_blocks", property(lambda _: blocks))
-        # the stage's one check rejects the edge whichever closure route the rule picks
-        with pytest.raises(ValueError, match=r"entry \(2, 5\) joins graphs 0 and 1"):
+    def test_edge_joining_two_graphs_rejected_on_either_route(self, blocks):
+        if blocks:
+            batch = make_batch([Graph(4, np.eye(4), path4(), 0), Graph(4, np.eye(4), path4(), 1)])
+        else:
+            batch = self._circulant_pair()
+        a, n = batch.a, batch.a.n_rows
+        i, j = 2, n // 2 + 1  # row 2 of graph 0 to row 1 of graph 1
+        joined = CsrMatrix.from_coo(n, n, np.append(sparse.row_indices(a), i),
+                                    np.append(a.col_idx, j), np.ones(a.nnz + 1))
+        # the rule, read on the joined pattern, picks this parameter's closure
+        # route (2 * 161^2 > 32 * (1,289 + 322) for the circulants), and the
+        # stage's one check rejects the edge before that route runs
+        assert Stage(joined, batch.bounds).by_blocks is blocks
+        with pytest.raises(ValueError, match=rf"entry \({i}, {j}\) joins graphs 0 and 1"):
             lcpool(constant(batch.x), Stage.of(joined, batch.graph_id),
-                   fixed_score(np.arange(8.0)), 0.5)
+                   fixed_score(np.arange(float(n))), 0.5)
 
 
 class TestLcPool:
