@@ -123,10 +123,14 @@ def load_dataset(opts: dict):
     return load_tudataset(opts["data_root"], name)
 
 
-def _require_out_directory(out: str) -> None:
-    """Refuse an --out path whose directory is missing, before any work."""
+def _require_out_directory(out: str, *beside: str) -> None:
+    """Refuse, before any work, an --out path whose directory is missing or
+    that is itself a directory, as is any file to be written beside it."""
     if not os.path.isdir(os.path.dirname(out) or "."):
         raise ValueError(f"--out {out}: directory {os.path.dirname(out)} does not exist")
+    for path in (out, *beside):
+        if os.path.isdir(path):
+            raise ValueError(f"--out {out}: {path} is a directory")
 
 
 def _cmd_train(args) -> int:
@@ -137,7 +141,7 @@ def _cmd_train(args) -> int:
         if csv_path == out:
             raise ValueError(f"--out {out} and its records CSV {csv_path} are the same file; "
                              "give --out another extension, e.g. .json")
-        _require_out_directory(out)
+        _require_out_directory(out, csv_path)
         if opts["runs"] < 1:
             raise ValueError(f"runs must be at least 1, got {opts['runs']}")
         if opts["seed"] < 0:

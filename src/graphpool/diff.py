@@ -171,23 +171,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight^T, plus the 1 x out bias row when given, as one tape entry.
 
-    ``weight`` is (out, in).  The product runs against a contiguous copy of
-    weight^T and the weight gradient is formed as (x^T g)^T: OpenBLAS's
-    small-matrix path gives other bits for the ``weight.T`` view.  It is
-    handed over as a C-ordered copy, the layout Adam runs fastest on.
+    ``weight`` is (out, in).  The product runs against a C-contiguous
+    weight^T, because OpenBLAS's small-matrix path gives other bits for an
+    F-ordered operand.  For a column-major weight, as :class:`layers.Linear`
+    holds its own, that is weight^T itself and nothing is copied; any other
+    weight gets one copy.  The weight gradient is formed as (x^T g)^T and
+    handed over as that column-major view, uncopied.
     """
     if x.cols != weight.cols:
         raise ValueError(f"linear shape mismatch: {x.shape} @ {weight.shape}^T")
     if bias is not None and bias.shape != (1, weight.rows):
         raise ValueError(f"bias shape {bias.shape} does not match {weight.rows} outputs")
-    wt = weight.values.T.copy()
+    wt = np.ascontiguousarray(weight.values.T)
     out = Tensor(x.values @ wt)
     if bias is not None:
         out.values += bias.values
 
     def rule(g):
         _accumulate(x, g @ wt.T)
-        _accumulate(weight, np.ascontiguousarray((x.values.T @ g).T))
+        _accumulate(weight, (x.values.T @ g).T)
         if bias is not None:
             _accumulate(bias, g.sum(axis=0, keepdims=True))
 
@@ -573,13 +575,25 @@ class Adam:
             p.tensor.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
 
+def _assign(p: Parameter, values: np.ndarray) -> None:
+    """Give p a fresh copy of values in p's own memory layout.
+
+    A snapshot, a restore and a load keep each parameter's layout: Linear
+    holds its weights column-major so that :func:`linear` reads W^T in
+    place, and a C-ordered copy would bring a copy per call back.
+    """
+    fresh = np.empty_like(p.tensor.values)
+    fresh[...] = values
+    p.tensor.values = fresh
+
+
 def snapshot(params) -> dict[str, np.ndarray]:
-    return {p.name: p.tensor.values.copy() for p in params}
+    return {p.name: p.tensor.values.copy(order="K") for p in params}
 
 
 def restore(params, state: dict[str, np.ndarray]) -> None:
     for p in params:
-        p.tensor.values = state[p.name].copy()
+        _assign(p, state[p.name])
 
 
 def save_parameters(params, path) -> None:
@@ -603,4 +617,4 @@ def load_parameters(params, path) -> None:
                 raise ValueError(f"parameter {p.name!r} has non-finite values")
             loaded.append(arr)
     for p, arr in zip(params, loaded):
-        p.tensor.values = arr.copy()
+        _assign(p, arr)

@@ -34,11 +34,16 @@ class Module:
 
 
 class Linear(Module):
-    """x @ W^T + b with W of shape (out_dim, in_dim); one tape entry per call."""
+    """x @ W^T + b with W of shape (out_dim, in_dim); one tape entry per call.
+
+    W is held column-major, so W^T is a C-contiguous view that
+    :func:`diff.linear` multiplies by in place.
+    """
 
     def __init__(self, in_dim: int, out_dim: int, rng, name: str, bias: bool = True):
         bound = 1.0 / np.sqrt(in_dim)
-        self.weight = Parameter(f"{name}.w", rng.uniform(-bound, bound, (out_dim, in_dim)))
+        w = np.asfortranarray(rng.uniform(-bound, bound, (out_dim, in_dim)))
+        self.weight = Parameter(f"{name}.w", w)
         self.bias = Parameter(f"{name}.b", np.zeros((1, out_dim))) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -131,7 +136,8 @@ class Stage:
 
     @functools.cached_property
     def a_hat(self) -> CsrMatrix:
-        """:func:`gcn_normalized` of a, formed on first use."""
+        """:func:`gcn_normalized` of a, formed on first use; only the CSR
+        route reads it (a_hat_blocks normalises a_blocks itself)."""
         return gcn_normalized(self.a)
 
     @functools.cached_property
@@ -165,9 +171,21 @@ class Stage:
 
     @functools.cached_property
     def a_hat_blocks(self) -> np.ndarray:
-        """The block view of a_hat, formed on first use; each entry has the
-        bits of a_hat's."""
-        return self._block_stack(self.a_hat)
+        """The block view of a_hat, formed on first use from a_blocks, not
+        from a_hat, by :func:`gcn_normalized`'s steps on each block: add I
+        on the real slots, sum each row in order (``np.cumsum``, as
+        ``np.bincount`` does; ``np.add.reduce`` sums a last axis pairwise),
+        and divide each entry by sqrt(d_i * d_j).  The added zeros change no
+        sum, so each entry has the bits of a_hat's.  Padded slots take
+        degree 1 and stay 0."""
+        slot, m = self.layout
+        stack = self.a_blocks.copy()
+        stack.reshape(-1)[slot * m + slot % m] += 1.0
+        deg = np.ones(stack.shape[:2])
+        deg.reshape(-1)[slot] = np.cumsum(stack, axis=2).reshape(-1, m)[slot, -1]
+        stack /= np.sqrt(deg[:, :, None] * deg[:, None, :])
+        stack.flags.writeable = False
+        return stack
 
     @functools.cached_property
     def a_blocks(self) -> np.ndarray:

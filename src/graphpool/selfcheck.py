@@ -307,10 +307,12 @@ _BLOCK_STAGE = Stage.of(sparse.from_dense(np.random.default_rng(7).normal(size=(
                                           * (_BLOCK_GID[:, None] == _BLOCK_GID)), _BLOCK_GID)
 _LABELS = np.array([0, 2, 1, 2])
 
-# name -> (forward over the input tensors, input shapes)
+# name -> (forward over the input tensors, input shapes); an input given as
+# (shape, "F") is drawn column-major, as Linear holds its weights
 _PRIMITIVES = {
     "matmul": (diff.matmul, [(3, 4), (4, 2)]),
     "linear": (diff.linear, [(2, 2), (4, 2), (1, 4)]),
+    "linear column-major": (diff.linear, [(2, 3), ((4, 3), "F"), (1, 4)]),
     "add": (diff.add, [(3, 4), (3, 4)]),
     "mul": (diff.mul, [(3, 4), (3, 4)]),
     "broadcast_col": (diff.broadcast_col, [(3, 4), (3, 1)]),
@@ -351,7 +353,9 @@ def _primitive_cases(seed):
     cases = []
     for name, (forward, shapes) in _PRIMITIVES.items():
         rng = keyed_rng(seed, name)
-        inputs = [Tensor(rng.normal(size=shape)) for shape in shapes]
+        inputs = [Tensor(rng.normal(size=shape)) if isinstance(shape[0], int)
+                  else Tensor(np.asarray(rng.normal(size=shape[0]), order=shape[1]))
+                  for shape in shapes]
         proj = diff.constant(rng.normal(size=forward(*inputs).shape))
         builder = lambda f=forward, xs=inputs, r=proj: diff.sum_all(diff.mul(f(*xs), r))
         cases.append((name, builder, inputs))

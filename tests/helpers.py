@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 
 from graphpool import diff, harness, sparse
-from graphpool.dataset import make_batch, make_synthetic
+from graphpool.dataset import Graph, make_batch, make_synthetic
 from graphpool.layers import Stage
 from graphpool.sparse import CsrMatrix
 
@@ -39,6 +39,17 @@ def triangle() -> CsrMatrix:
 def single_graph(a: CsrMatrix) -> Stage:
     """The one-graph stage of adjacency a."""
     return Stage.of(a, np.zeros(a.n_rows))
+
+
+def circulant_pair():
+    """Two copies of C_161(1, 2), each node joined to the two on either side,
+    as one batch: a stage that fails the block rule, 2 * 161^2 > 32 * (4 *
+    322 + 322), and so takes the CSR route."""
+    n = 161
+    ring = np.arange(n)
+    cols = np.concatenate([(ring + step) % n for step in (1, -1, 2, -2)])
+    circulant = CsrMatrix.from_coo(n, n, np.tile(ring, 4), cols, np.ones(4 * n))
+    return make_batch([Graph(n, np.ones((n, 1)), circulant, label) for label in (0, 1)])
 
 
 def edgeless(graph_id) -> Stage:

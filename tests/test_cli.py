@@ -165,6 +165,26 @@ class TestTrainCommand:
                   flag, value])
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, directory", [
+        ("train", "r.json"), ("train", "r.csv"), ("rank", "rank.csv")])
+    def test_out_that_is_a_directory_refused_before_loading(self, tmp_path, monkeypatch,
+                                                            command, directory):
+        def no_run(*args, **kwargs):
+            raise AssertionError("input loaded or work started")
+
+        for name in ("load_records", "rank", "evaluate_suite"):
+            monkeypatch.setattr(harness, name, no_run)
+        monkeypatch.setattr("graphpool.cli.load_dataset", no_run)
+        (tmp_path / directory).mkdir()
+        out = tmp_path / ("rank.csv" if command == "rank" else "r.json")
+        argv = (["rank", "--in", str(tmp_path / "r.json")] if command == "rank"
+                else ["train", "--dataset", "synthetic:cycles_vs_paths"])
+        with pytest.raises(SystemExit, match=re.escape(
+                f"{command}: --out {out}: {tmp_path / directory} is a directory")):
+            main(argv + ["--out", str(out)])
+        assert [p.name for p in tmp_path.iterdir()] == [directory]
+        assert not any((tmp_path / directory).iterdir())
+
     def test_rank_out_in_missing_directory_refused_before_loading(self, tmp_path, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("the records loaded or were ranked")

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import edgeless, path4
 from graphpool import diff, harness, pooling, selfcheck
+from graphpool.dataset import make_batch, make_synthetic
 from graphpool.diff import (
     Adam,
     Parameter,
@@ -342,6 +343,28 @@ class TestLinear:
         if with_bias:
             assert np.array_equal(b.grad, g.sum(axis=0, keepdims=True))
 
+    @pytest.mark.parametrize("dims", LINEAR_DIMS)
+    def test_column_major_weight_bit_equal_to_the_numpy_reference(self, dims):
+        # Linear holds W column-major: W^T is then read in place, with the
+        # bits of the copy a C-ordered W gets, and W's gradient keeps W's layout
+        rng = np.random.default_rng(sum(dims) + 1)
+        n, d_in, d_out = dims
+        x = Tensor(rng.normal(size=(n, d_in)))
+        w = Tensor(np.asfortranarray(rng.normal(size=(d_out, d_in))))
+        b = Tensor(rng.normal(size=(1, d_out)))
+        g = rng.normal(size=(n, d_out))
+        with Tape():
+            out = diff.linear(x, w, b)
+            loss = diff.sum_all(diff.mul(out, constant(g)))
+        backward(loss)
+
+        wt = w.values.T.copy()
+        assert np.array_equal(out.values, x.values @ wt + b.values)
+        assert np.array_equal(x.grad, g @ wt.T)
+        assert np.array_equal(w.grad, (x.values.T @ g).T)
+        assert w.grad.flags.f_contiguous
+        assert np.array_equal(b.grad, g.sum(axis=0, keepdims=True))
+
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError):
             diff.linear(constant(np.ones((2, 3))), constant(np.ones((4, 2))))
@@ -410,6 +433,45 @@ class TestAdamAndCheckpoints:
         diff.load_parameters(params, path)
         for p, orig in zip(params, originals):
             assert np.array_equal(p.tensor.values, orig)
+
+    def test_linear_weights_stay_column_major(self, tmp_path):
+        # a C-ordered weight would cost diff.linear a copy of W^T per call
+        data = make_synthetic("cycles_vs_paths", 8, seed=2)
+        model = harness.build_model(harness.ModelConfig(pool="lcpool", hidden=4, pre_mlp=(4,),
+                                                        post_mlp=(4,)),
+                                    data.feature_dim, data.num_classes, seed=1)
+        params = model.parameters()
+        weights = [p for p in params if p.name.endswith(".w")]
+        batch = make_batch(data.graphs)
+        opt = Adam(params, lr=0.01)
+
+        def assert_column_major():
+            assert weights and all(p.tensor.values.flags.f_contiguous for p in weights)
+
+        def step():
+            with Tape():
+                loss = cross_entropy(model.forward(batch), batch.labels)
+            opt.zero_grad()
+            backward(loss)
+            opt.step()
+
+        assert_column_major()
+        step()
+        assert_column_major()
+        state = diff.snapshot(params)
+        step()
+        diff.restore(params, state)
+        assert_column_major()
+        assert all(np.array_equal(p.tensor.values, state[p.name]) for p in params)
+        path = tmp_path / "ckpt.npz"
+        diff.save_parameters(params, path)
+        np.savez(tmp_path / "c_ordered.npz",
+                 **{p.name: np.ascontiguousarray(p.tensor.values) for p in params})
+        for checkpoint in (path, tmp_path / "c_ordered.npz"):
+            step()
+            diff.load_parameters(params, checkpoint)
+            assert_column_major()
+            assert all(np.array_equal(p.tensor.values, state[p.name]) for p in params)
 
     def test_checkpoint_missing_parameter(self, tmp_path):
         p = Parameter("a", np.zeros((1, 1)))

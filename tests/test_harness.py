@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -7,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import path4, random_adjacency_dense, training_fingerprint
+from helpers import circulant_pair, path4, random_adjacency_dense, training_fingerprint
 from graphpool import diff, harness, layers, selfcheck, sparse
 from graphpool.dataset import Graph, make_batch, make_synthetic, split
 from graphpool.harness import (
@@ -149,8 +150,9 @@ class TestModelBuilding:
     @pytest.mark.parametrize("backbone", ["hierarchical", "plain"])
     @pytest.mark.parametrize("pool", harness.POOLS)
     def test_parameter_gradients_are_c_ordered_and_read_only(self, backbone, pool):
-        # Adam updates C-ordered gradients fastest, and a stored gradient may
-        # be shared with other tensors, so none may be written after backward
+        # Adam runs over a gradient in its parameter's own layout (a Linear
+        # weight's is column-major), and a stored gradient may be shared with
+        # other tensors, so none may be written after backward
         ds = make_synthetic("two_communities", 8, seed=3)
         model = build_model(ModelConfig(backbone=backbone, pool=pool, **TINY), ds.feature_dim,
                             ds.num_classes, seed=0, mean_nodes=ds.mean_nodes)
@@ -163,7 +165,10 @@ class TestModelBuilding:
         for p in model.parameters():
             g = p.tensor.grad
             assert g is not None and g.shape == p.tensor.shape, p.name
-            assert g.flags.c_contiguous and not g.flags.writeable, p.name
+            values = p.tensor.values
+            assert (g.flags.c_contiguous, g.flags.f_contiguous) == (
+                values.flags.c_contiguous, values.flags.f_contiguous), p.name
+            assert not g.flags.writeable, p.name
 
 
 class TestStages:
@@ -193,16 +198,33 @@ class TestStages:
         with pytest.raises(ValueError, match="indices must be integers, not booleans"):
             layers.Stage.of(sparse.CsrMatrix.empty(3, 3), [False, False, True])
 
-    def test_nopool_forward_normalises_the_batch_once(self, monkeypatch):
-        calls = []
+    @staticmethod
+    def _nopool_normalisations(monkeypatch, batch):
+        """The matrices gcn_normalized is called on, and the stages whose
+        a_hat_blocks is built, in one nopool forward over batch."""
+        calls, builds = [], []
         normalized = layers.gcn_normalized
         monkeypatch.setattr(layers, "gcn_normalized", lambda a: calls.append(a) or normalized(a))
-        ds = tiny_dataset()
-        model = build_model(ModelConfig(pool="nopool", **TINY), ds.feature_dim,
-                            ds.num_classes, seed=0)
-        batch = make_batch(ds.graphs[:8])
+        build = layers.Stage.a_hat_blocks.func
+        counted = functools.cached_property(lambda stage: builds.append(stage) or build(stage))
+        counted.__set_name__(layers.Stage, "a_hat_blocks")
+        monkeypatch.setattr(layers.Stage, "a_hat_blocks", counted)
+        model = build_model(ModelConfig(pool="nopool", **TINY), batch.x.shape[1], 2, seed=0)
         model.forward(batch)
-        assert len(calls) == 1 and calls[0] is batch.a
+        return calls, builds
+
+    def test_nopool_forward_normalises_the_batch_once(self, monkeypatch):
+        # a block-route stage normalises its own blocks, never the CSR
+        batch = make_batch(tiny_dataset().graphs[:8])
+        assert batch.by_blocks
+        calls, builds = self._nopool_normalisations(monkeypatch, batch)
+        assert calls == [] and len(builds) == 1 and builds[0] is batch
+
+    def test_csr_route_forward_normalises_the_batch_once(self, monkeypatch):
+        batch = circulant_pair()
+        assert not batch.by_blocks
+        calls, builds = self._nopool_normalisations(monkeypatch, batch)
+        assert len(calls) == 1 and calls[0] is batch.a and builds == []
 
     @pytest.mark.parametrize("pool", POOLED)
     def test_built_extents_match_the_graph_ids(self, pool):

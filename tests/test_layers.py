@@ -473,6 +473,58 @@ class TestPropagationRoutes:
         assert "a_hat_blocks" not in vars(batch) and "a_blocks" not in vars(batch)
 
 
+def bits(array):
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+class TestNormalisedBlocks:
+    """a_hat_blocks normalises the stage's own a_blocks, without a_hat, and
+    has the bits of a_hat scattered into blocks, 0 in every padded slot."""
+
+    @staticmethod
+    def assert_matches_the_csr(stage):
+        stack = stage.a_hat_blocks
+        assert "a_hat" not in vars(stage)
+        assert np.array_equal(bits(stack), bits(stage._block_stack(stage.a_hat)))
+        slot, m = stage.layout
+        real = np.zeros(stack.shape[:2], dtype=bool)
+        real.reshape(-1)[slot] = True
+        padded = ~(real[:, :, None] & real[:, None, :])
+        assert not np.isnan(stack).any() and not stack[padded].any()
+        assert not stack.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["two_communities", "cycles_vs_paths"])
+    def test_desk_batch(self, kind):
+        batch = dataset.make_batch(dataset.make_synthetic(kind, 32, seed=5).graphs)
+        assert batch.by_blocks and np.diff(batch.bounds).min() < batch.layout[1]
+        self.assert_matches_the_csr(batch)
+
+    def test_dense_pools_weighted_stage(self):
+        rng = np.random.default_rng(40)
+        batch = dataset.make_batch(dataset.make_synthetic("two_communities", 16, seed=6).graphs)
+        s = diff.row_softmax(constant(rng.normal(size=(batch.x.shape[0], 5))))
+        pooled = pooling.dense_assignment_pool(constant(batch.x), batch, s)
+        stage = Stage(pooled.a, pooled.bounds)
+        assert not np.all(stage.a.values == 1.0)
+        self.assert_matches_the_csr(stage)
+
+    def test_degrees_are_summed_in_row_order(self):
+        # a weighted 12-node graph whose rows hold 11 entries of magnitudes
+        # 1e-8 .. 1e8, and a 3-node path that leaves padded slots: row sums
+        # taken pairwise (np.add.reduce over the last axis) differ from the
+        # in-order sums that gcn_normalized's np.bincount takes
+        rng = np.random.default_rng(41)
+        dense = np.zeros((15, 15))
+        dense[:12, :12] = rng.uniform(1.0, 10.0, (12, 12)) * 10.0 ** rng.integers(-8, 9, (12, 12))
+        dense[12:, 12:] = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+        np.fill_diagonal(dense, 0.0)
+        stage = Stage.of(sparse.from_dense(dense), np.repeat([0, 1], [12, 3]))
+        with_loops = stage.a_blocks + np.eye(12)
+        assert not np.array_equal(np.add.reduce(with_loops[0], axis=1),
+                                  np.cumsum(with_loops[0], axis=1)[:, -1])
+        self.assert_matches_the_csr(stage)
+
+
 class TestReadoutRoutes:
     """readout reduces a stage through its padded layout where by_blocks
     holds and graph by graph elsewhere, with the same bits either way."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import cycle, edgeless, path4, random_adjacency_dense, single_graph
+from helpers import circulant_pair, cycle, edgeless, path4, random_adjacency_dense, single_graph
 from graphpool import diff, pooling, sparse
 from graphpool.dataset import Graph, make_batch, make_synthetic
 from graphpool.diff import constant
@@ -424,17 +424,8 @@ class TestClosureRoutes:
         batch = self._mixed_batch(np.random.default_rng(15))
         assert self._routes_taken(monkeypatch, batch, 1) == ["_closure_by_sparse"]
 
-    @staticmethod
-    def _circulant_pair():
-        """Two copies of C_161(1, 2): each node joined to the two on either side."""
-        n = 161
-        ring = np.arange(n)
-        cols = np.concatenate([(ring + step) % n for step in (1, -1, 2, -2)])
-        circulant = CsrMatrix.from_coo(n, n, np.tile(ring, 4), cols, np.ones(4 * n))
-        return make_batch([Graph(n, np.ones((n, 1)), circulant, label) for label in (0, 1)])
-
     def test_stage_failing_the_fill_rule_takes_the_sparse_route(self, monkeypatch):
-        batch = self._circulant_pair()
+        batch = circulant_pair()
         assert not batch.by_blocks  # G m^2 = 2 * 161^2 > 32 * (4 * 322 + 322)
         assert self._routes_taken(monkeypatch, batch, 1) == ["_closure_by_sparse"]
         assert "a_blocks" not in vars(batch)
@@ -444,7 +435,7 @@ class TestClosureRoutes:
         if blocks:
             batch = make_batch([Graph(4, np.eye(4), path4(), 0), Graph(4, np.eye(4), path4(), 1)])
         else:
-            batch = self._circulant_pair()
+            batch = circulant_pair()
         a, n = batch.a, batch.a.n_rows
         i, j = 2, n // 2 + 1  # row 2 of graph 0 to row 1 of graph 1
         joined = CsrMatrix.from_coo(n, n, np.append(sparse.row_indices(a), i),
