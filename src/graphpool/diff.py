@@ -338,7 +338,7 @@ def block_spmm(stack: np.ndarray, slot: np.ndarray, x: Tensor) -> Tensor:
     n_graphs, m, _ = stack.shape
 
     def apply(blocks, v):
-        product = np.matmul(blocks, _padded(v, (slot, m), n_graphs, 0.0))
+        product = np.matmul(blocks, _padded(v, (slot, m), n_graphs))
         return product.reshape(n_graphs * m, -1)[slot]
 
     out = Tensor(apply(stack, x.values))
@@ -398,29 +398,21 @@ def segment_softmax(t: Tensor, bounds) -> Tensor:
     return _record(out, rule)
 
 
-def _padded(values: np.ndarray, layout, n_segments: int, fill: float) -> np.ndarray:
-    """The (G, m, cols) stack holding row i of values at slot[i] of the
-    padded layout (slot, m), and fill in every slot no row takes."""
+def _padded(values: np.ndarray, layout, n_segments: int) -> np.ndarray:
+    """The zeroed (G, m, cols) stack holding row i of values at slot[i] of
+    the padded layout (slot, m)."""
     slot, m = layout
     stack = np.zeros((n_segments * m, values.shape[1]))
-    if fill != 0.0:
-        stack.fill(fill)
     stack[slot] = values
     return stack.reshape(n_segments, m, -1)
 
 
-def segment_mean(x: Tensor, bounds, layout=None) -> Tensor:
-    """Per-segment column mean.  Given the padded layout (slot, m) of the
-    extents, the rows are summed through a zero-filled (G, m, cols) stack,
-    else by :func:`sparse.row_sums`; both add each segment's rows to 0 in
-    order, so the two give the same bits."""
+def segment_mean(x: Tensor, bounds) -> Tensor:
+    """Per-segment column mean; each segment's rows are added to 0 in order
+    (:func:`sparse.row_sums`)."""
     bounds = _segment_extents(bounds, x.rows)
     counts = np.diff(bounds)
-    if layout is None:
-        sums = sparse.row_sums(bounds, x.values)
-    else:
-        sums = np.add.reduce(_padded(x.values, layout, counts.size, 0.0), axis=1, initial=0.0)
-    out = Tensor(sums / counts[:, None])
+    out = Tensor(sparse.row_sums(bounds, x.values) / counts[:, None])
 
     def rule(g):
         _accumulate(x, np.repeat(g / counts[:, None], counts, axis=0))
@@ -428,54 +420,75 @@ def segment_mean(x: Tensor, bounds, layout=None) -> Tensor:
     return _record(out, rule)
 
 
-def segment_max(x: Tensor, bounds, layout=None) -> Tensor:
-    """Per-segment column max; the gradient goes to the first max row (the
-    first NaN row where there is one), as ``argmax`` picks it.
-
-    Given the padded layout (slot, m) of the extents, the rows are reduced
-    through a -inf-filled (G, m, cols) stack, and the first max rows are
-    found only while a tape records.  Otherwise one ``argmax`` runs per
-    segment.  On a 2-vCPU x86 host (numpy 2.4.6, best of 300) at 32
-    segments of 6 to 20 rows x 128 columns, the stack took 75 us against
-    the loop's 300-340 us untaped and 150-165 us against 320 us taped; at
-    one segment of 620 rows among 31 of 10 to 60 it took 4.3x the loop's
-    time untaped and 8.6x taped, which is why :func:`layers.readout` passes
-    the layout only where the stage's by_blocks holds.
-    """
+def segment_max(x: Tensor, bounds) -> Tensor:
+    """Per-segment column max by one ``argmax`` per segment; the gradient
+    goes to the first max row (the first NaN row where there is one)."""
     bounds = _segment_extents(bounds, x.rows)
     n = bounds.size - 1
     cols = np.arange(x.cols)
-    if layout is None:
-        vals = np.empty((n, x.cols))
-        argrows = np.empty((n, x.cols), dtype=np.int64)
-        for s in range(n):
-            block = x.values[bounds[s] : bounds[s + 1]]
-            am = block.argmax(axis=0)  # first max wins
-            vals[s] = block[am, cols]
-            argrows[s] = bounds[s] + am
-    else:
-        stack = _padded(x.values, layout, n, -np.inf)
-        # max keeps the last of equal operands, so the slots run in reverse:
-        # of a +0/-0 tie the first row's sign survives, as with argmax
-        vals = stack[:, ::-1].max(axis=1)
+    vals = np.empty((n, x.cols))
+    argrows = np.empty((n, x.cols), dtype=np.int64)
+    for s in range(n):
+        block = x.values[bounds[s] : bounds[s + 1]]
+        am = block.argmax(axis=0)  # first max wins
+        vals[s] = block[am, cols]
+        argrows[s] = bounds[s] + am
     out = Tensor(vals)
-    if _active_tape() is None:
-        return out
-    if layout is not None:
-        hit = stack == vals[:, None]
-        nan = np.isnan(vals)
-        if nan.any():  # NaN equals nothing; argmax stops at the first
-            hit |= np.isnan(stack) & nan[:, None]
-        m = layout[1]
-        # the first hit has the largest weight; the padding sits after the
-        # rows, so the first hit is a row even when the max is -inf
-        weights = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))
-        argrows = bounds[:-1, None] + (m - (hit * weights[:, None]).max(axis=1))
 
     def rule(g):
         buf = np.zeros_like(x.values)
         buf[argrows, cols] = g  # (argrows, cols) pairs are distinct
         _accumulate(x, buf)
+
+    return _record(out, rule)
+
+
+def block_mean_max(x: Tensor, bounds, layout) -> Tensor:
+    """Per-segment concat(mean, max) through the padded layout (slot, m) of
+    the extents, as one tape entry: the bits of
+    ``concat_cols(segment_mean(x, bounds), segment_max(x, bounds))``.
+
+    x is scattered once into a zeroed (G, m, cols) stack (:func:`_padded`).
+    The mean adds each segment's slots to 0 in order, as
+    :func:`segment_mean` adds its rows; then the free slots take -inf and
+    the max runs over the slots reversed.  Only while a tape records is
+    each column's first max row found (the first NaN row where there is
+    one), as ``argmax`` picks it.  The backward pass adds the max part into
+    x's gradient before the mean part, the order the pair's three entries
+    leave.  On a 2-vCPU x86 host (numpy 2.4.6, one BLAS thread,
+    best of 300) at 32 segments of 6 to 20 rows x 128 columns, this took
+    106-112 us against the pair's 394-412 us untaped and 189-198 us against
+    425-430 us taped; at one segment of 620 rows among 31 of 10 to 60 it
+    took 5x the pair's time untaped and 7.6-7.9x taped, which is why
+    :func:`layers.readout` takes it only where the stage's by_blocks holds.
+    """
+    bounds = _segment_extents(bounds, x.rows)
+    counts = np.diff(bounds)
+    m = layout[1]
+    stack = _padded(x.values, layout, counts.size)
+    mean = np.add.reduce(stack, axis=1, initial=0.0) / counts[:, None]
+    stack[np.arange(m) >= counts[:, None]] = -np.inf
+    # max keeps the last of equal operands, so the slots run in reverse:
+    # of a +0/-0 tie the first row's sign survives, as with argmax
+    vals = stack[:, ::-1].max(axis=1)
+    out = Tensor(np.hstack([mean, vals]))
+    if _active_tape() is None:
+        return out
+    hit = stack == vals[:, None]
+    nan = np.isnan(vals)
+    if nan.any():  # NaN equals nothing; argmax stops at the first
+        hit |= np.isnan(stack) & nan[:, None]
+    # the first hit has the largest weight; the padding sits after the
+    # rows, so the first hit is a row even when the max is -inf
+    weights = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))
+    argrows = bounds[:-1, None] + (m - (hit * weights[:, None]).max(axis=1))
+    cols = np.arange(x.cols)
+
+    def rule(g):
+        buf = np.zeros_like(x.values)
+        buf[argrows, cols] = g[:, x.cols :]  # (argrows, cols) pairs are distinct
+        _accumulate(x, buf)
+        _accumulate(x, np.repeat(g[:, : x.cols] / counts[:, None], counts, axis=0))
 
     return _record(out, rule)
 

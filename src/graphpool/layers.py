@@ -91,8 +91,9 @@ def gcn_normalized(a: CsrMatrix) -> CsrMatrix:
 # 0.5): the rule picked the faster route on 20, e.g. blocks 2.1 ms against
 # sparse 454 ms and sparse 2.7 ms against blocks 241 ms; the 21st, at
 # 32.7, ran sparse in 3.38 ms against blocks in 2.56 ms.  The readout
-# (segment mean and max, width 128): desk batches ran 1.3-4.5x faster
-# padded, one 620-node ring among 31 graphs of 10-60 nodes 4-9x slower.
+# (diff.block_mean_max against the segment mean and max pair, width 128):
+# 32 graphs of 6-20 nodes ran 2.2-3.9x faster padded, one 620-node graph
+# among 31 of 10-60 nodes 5-8x slower.
 # No benchmark workload reaches the CSR side, so FILL is unverified there.
 FILL = 32
 
@@ -264,10 +265,11 @@ class Lcsmp(Module):
 def readout(x: Tensor, stage: Stage) -> Tensor:
     """Per-graph concat(mean, max) over a stage's graphs; width doubles.
 
-    A stage whose ``by_blocks`` holds reduces x through its padded layout,
-    any other graph by graph (see :func:`diff.segment_max`); the two routes
-    give the same bits.
+    A stage whose ``by_blocks`` holds reduces x through its padded layout
+    in one tape entry (:func:`diff.block_mean_max`), any other graph by
+    graph (:func:`diff.segment_mean`, :func:`diff.segment_max`); the two
+    routes give the same bits.
     """
-    layout = stage.layout if stage.by_blocks else None
-    return diff.concat_cols(diff.segment_mean(x, stage.bounds, layout),
-                            diff.segment_max(x, stage.bounds, layout))
+    if stage.by_blocks:
+        return diff.block_mean_max(x, stage.bounds, stage.layout)
+    return diff.concat_cols(diff.segment_mean(x, stage.bounds), diff.segment_max(x, stage.bounds))

@@ -335,10 +335,8 @@ _PRIMITIVES = {
     "segment_mean": (lambda x: diff.segment_mean(x, _BOUNDS), [(5, 2)]),
     "segment_max": (lambda x: diff.segment_max(x, _BOUNDS), [(5, 2)]),
     # graphs of 3 and 2 nodes: slot 5 of the padded layout holds no row
-    "segment_mean padded": (
-        lambda x: diff.segment_mean(x, _BOUNDS, _BLOCK_STAGE.layout), [(5, 2)]),
-    "segment_max padded": (
-        lambda x: diff.segment_max(x, _BOUNDS, _BLOCK_STAGE.layout), [(5, 2)]),
+    "block_mean_max": (
+        lambda x: diff.block_mean_max(x, _BOUNDS, _BLOCK_STAGE.layout), [(5, 2)]),
     "assignment_reduce": (lambda s, x: diff.assignment_reduce(s, x, _BOUNDS), [(5, 2), (5, 2)]),
     "cross_entropy": (lambda x: cross_entropy(x, _LABELS), [(4, 3)]),
 }

@@ -530,36 +530,52 @@ class TestReadoutRoutes:
     holds and graph by graph elsewhere, with the same bits either way."""
 
     @staticmethod
-    def record_layouts(monkeypatch):
-        """The layouts readout hands to the segment reductions, in call order."""
-        layouts = []
-        for name in ("segment_mean", "segment_max"):
-            def recorded(x, bounds, layout=None, op=getattr(diff, name)):
-                layouts.append(layout)
-                return op(x, bounds, layout)
+    def record_primitives(monkeypatch):
+        """The names of the readout primitives that run, in call order."""
+        calls = []
+        for name in ("block_mean_max", "segment_mean", "segment_max"):
+            def recorded(*args, name=name, op=getattr(diff, name)):
+                calls.append(name)
+                return op(*args)
             monkeypatch.setattr(diff, name, recorded)
-        return layouts
+        return calls
 
     @pytest.mark.parametrize("kind", ["two_communities", "cycles_vs_paths"])
     def test_desk_stages_take_the_padded_layout(self, monkeypatch, kind):
-        layouts = self.record_layouts(monkeypatch)
+        calls = self.record_primitives(monkeypatch)
         data = dataset.make_synthetic(kind, 32, seed=5)
         batch = dataset.make_batch(data.graphs)
         for pool in harness.POOLS:
             cfg = harness.ModelConfig(pool=pool, hidden=8, pre_mlp=(8,), post_mlp=(8,))
             harness.build_model(cfg, data.feature_dim, data.num_classes, seed=0,
                                 mean_nodes=data.mean_nodes).forward(batch)
-        assert len(layouts) == 2 * 3 * len(harness.POOLS)
-        assert all(layout is not None for layout in layouts)
+        assert calls == ["block_mean_max"] * 3 * len(harness.POOLS)
 
     def test_skewed_batch_takes_the_loop(self, monkeypatch):
         rng = np.random.default_rng(35)
         batch = ring_batch(rng, [620, *rng.integers(10, 61, size=31)])
         assert not batch.by_blocks
-        layouts = self.record_layouts(monkeypatch)
+        calls = self.record_primitives(monkeypatch)
         out = readout(constant(batch.x), batch)
         assert out.shape == (32, 6)
-        assert layouts == [None, None]
+        assert calls == ["segment_mean", "segment_max"]
+
+    def test_block_stage_readout_records_one_entry_and_scatters_once(self, monkeypatch):
+        batch = dataset.make_batch(dataset.make_synthetic("two_communities", 32, seed=5).graphs)
+        assert batch.by_blocks
+        scatters = []
+
+        def padded(values, layout, n_segments, op=diff._padded):
+            scatters.append(values)
+            return op(values, layout, n_segments)
+
+        monkeypatch.setattr(diff, "_padded", padded)
+        x = Tensor(np.random.default_rng(36).normal(size=(batch.bounds[-1], 8)))
+        with Tape() as tape:
+            out = readout(x, batch)
+        assert out.shape == (32, 16)
+        assert len(tape) == 1
+        assert len(scatters) == 1 and scatters[0] is x.values
 
     @pytest.mark.parametrize("backbone", harness.BACKBONES)
     @pytest.mark.parametrize("pool", harness.POOLS)
@@ -574,12 +590,11 @@ class TestReadoutRoutes:
         runs = []
         for by_layout in (True, False):
             if by_layout:
-                layouts = self.record_layouts(monkeypatch)
-            else:  # drop the layout: the readout reduces graph by graph
+                calls = self.record_primitives(monkeypatch)
+            else:  # the block primitive becomes the pair: the readout reduces graph by graph
                 monkeypatch.undo()
-                for name in ("segment_mean", "segment_max"):
-                    monkeypatch.setattr(diff, name, lambda x, bounds, layout=None,
-                                        op=getattr(diff, name): op(x, bounds))
+                monkeypatch.setattr(diff, "block_mean_max", lambda x, bounds, layout: (
+                    diff.concat_cols(diff.segment_mean(x, bounds), diff.segment_max(x, bounds))))
             for t in params:
                 t.grad = None
             with Tape():
@@ -587,7 +602,7 @@ class TestReadoutRoutes:
                 loss = diff.cross_entropy(logits, batch.labels)
             backward(loss)
             runs.append([logits.values] + [t.grad for t in params])
-        assert layouts and all(layout is not None for layout in layouts)
+        assert calls and set(calls) == {"block_mean_max"}
         for got, want in zip(*runs, strict=True):
             assert np.array_equal(got, want)
 

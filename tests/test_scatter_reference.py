@@ -3,8 +3,9 @@
 ``sparse.row_sums`` promises the summation order of an unbuffered in-order
 scatter-add, so every site built on it (``spmm``, ``scatter_sum``, the
 ``gather_rows`` backward, ``segment_mean``) must match the reference bit for
-bit (``np.array_equal``), not within a tolerance.  Inputs are non-integer so
-a different order would show in the last bits.  ``assignment_reduce`` runs
+bit (``np.array_equal``), not within a tolerance; so must the mean half of
+``block_mean_max``, which sums its padded stack in the same order.  Inputs
+are non-integer so a different order would show in the last bits.  ``assignment_reduce`` runs
 one BLAS product per segment in both passes instead, so it is checked
 within 1e-12 of the largest magnitude.
 """
@@ -139,7 +140,7 @@ def test_segment_mean_matches_add_at(case):
     ref = add_at_rows(lengths.size, seg, x.values) / lengths[:, None]
     assert np.array_equal(diff.segment_mean(x, bounds).values, ref)
     layout = Stage(CsrMatrix.empty(seg.size, seg.size), bounds).layout
-    assert np.array_equal(diff.segment_mean(x, bounds, layout).values, ref)
+    assert np.array_equal(diff.block_mean_max(x, bounds, layout).values[:, :4], ref)
 
 
 @pytest.mark.parametrize("case", ["empty-rows", "hub-row", "nnz-0", "one-row"])
@@ -224,6 +225,7 @@ def _padded_max_case(kind, rng):
 @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
 @pytest.mark.parametrize("kind", ["signed-zero", "inf", "nan", "long"])
 def test_padded_segment_max_matches_argmax_loop(kind, taped):
+    # the max half of block_mean_max; its gradient adds the mean half's after
     rng = np.random.default_rng(47)
     for _ in range(20):
         lengths, xv = _padded_max_case(kind, rng)
@@ -231,17 +233,20 @@ def test_padded_segment_max_matches_argmax_loop(kind, taped):
         bounds = np.concatenate([[0], np.cumsum(lengths)])
         layout = Stage(CsrMatrix.empty(seg.size, seg.size), bounds).layout
         x = Tensor(xv)
-        if not taped:
-            out = diff.segment_max(x, bounds, layout)
-        else:
-            upstream = rng.normal(size=(lengths.size, xv.shape[1]))
-            with Tape(), np.errstate(invalid="ignore"):  # the loss may read inf - inf
-                out = diff.segment_max(x, bounds, layout)
-                loss = diff.sum_all(diff.mul(out, constant(upstream)))
-            backward(loss)
+        with np.errstate(invalid="ignore"):  # a mean or the loss may read inf - inf
+            if not taped:
+                out = diff.block_mean_max(x, bounds, layout)
+            else:
+                upstream = rng.normal(size=(lengths.size, 2 * xv.shape[1]))
+                with Tape():
+                    out = diff.block_mean_max(x, bounds, layout)
+                    loss = diff.sum_all(diff.mul(out, constant(upstream)))
+                backward(loss)
         vals, argrows = segment_max_loop(xv, seg, lengths.size)
-        assert np.array_equal(out.values.view(np.int64), vals.view(np.int64))  # sign and NaN too
+        got = out.values[:, xv.shape[1] :]
+        assert np.array_equal(got.view(np.int64), vals.view(np.int64))  # sign and NaN too
         if taped:
             ref_grad = np.zeros_like(xv)
-            ref_grad[argrows, np.arange(xv.shape[1])] = upstream
+            ref_grad[argrows, np.arange(xv.shape[1])] = upstream[:, xv.shape[1] :]
+            ref_grad = ref_grad + (upstream[:, : xv.shape[1]] / lengths[:, None])[seg]
             assert np.array_equal(x.grad, ref_grad)
