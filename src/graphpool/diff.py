@@ -15,6 +15,7 @@ array can be the gradient of several tensors.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -554,10 +555,24 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction over a list of Parameters, with the usual
-    betas (0.9, 0.999) and eps 1e-8."""
+    """Adam (Kingma & Ba, ICLR 2015, arXiv:1412.6980, Algorithm 1) over a
+    list of Parameters, with betas (0.9, 0.999) and eps 1e-8.
+
+    The moments are updated as ``m·β₁ + (1−β₁)·g`` and
+    ``v·β₂ + ((1−β₂)·g)·g``.  The parameter step takes the efficient order
+    of the paper's end of §2: the bias corrections fold into one step size
+    ``α_t = α·√(1−β₂ᵗ)/(1−β₁ᵗ)`` and ``θ ← θ − α_t·m/(√v + ε̂)`` with
+    ``ε̂ = ε·√(1−β₂ᵗ)``, which is Algorithm 1's ``α·m̂/(√v̂ + ε)`` up to
+    rounding.  Each parameter's step takes one temporary, which also holds
+    the moments' gradient terms: five passes over it instead of seven, and
+    no scratch kept between steps.  So the moments, and every forward
+    and backward value, keep the bits of the unfolded form; the parameters
+    differ from it by the rounding of the step.
+    """
 
     def __init__(self, params, lr=0.0005):
+        if not 0 < lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {lr}")
         params = list(params)
         names = [p.name for p in params]
         if len(set(names)) != len(names):
@@ -575,17 +590,29 @@ class Adam:
     def step(self) -> None:
         self._t += 1
         b1, b2 = 0.9, 0.999
-        c1 = 1.0 - b1**self._t
-        c2 = 1.0 - b2**self._t
+        root_c2 = math.sqrt(1.0 - b2**self._t)
+        step_size = self.lr * root_c2 / (1.0 - b1**self._t)
+        eps_hat = 1e-8 * root_c2
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.tensor.grad
             if g is None:
-                g = np.zeros_like(p.tensor.values)
+                # a missing gradient steps on zeros; every product of the
+                # zeros below is zero, so the buffer can stand in for g
+                g = t = np.zeros_like(p.tensor.values)
+            else:
+                t = np.empty_like(p.tensor.values)
+            np.multiply(g, 1.0 - b1, out=t)
             m *= b1
-            m += (1.0 - b1) * g
+            m += t
+            np.multiply(g, 1.0 - b2, out=t)
+            t *= g
             v *= b2
-            v += (1.0 - b2) * g * g
-            p.tensor.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+            v += t
+            np.sqrt(v, out=t)
+            t += eps_hat
+            np.divide(m, t, out=t)
+            t *= step_size
+            p.tensor.values -= t
 
 
 def _assign(p: Parameter, values: np.ndarray) -> None:

@@ -76,6 +76,21 @@ def random_adjacency_dense(rng, n, p=0.35, directed=False):
 ALL_POOLS = ("nopool", "topk", "sag", "dense", "lcpool", "lcpool_star")
 
 
+def _fingerprint_models(pools):
+    """Each fixed-seed model of the fingerprints (``pools`` under both
+    backbones, hidden 32, on each synthetic kind) with its four 16-graph
+    batches."""
+    for kind in ("cycles_vs_paths", "two_communities"):
+        data = make_synthetic(kind, 64, seed=5)
+        batches = [make_batch(data.graphs[lo : lo + 16]) for lo in range(0, 64, 16)]
+        for backbone in ("hierarchical", "plain"):
+            for pool in pools:
+                cfg = harness.ModelConfig(backbone=backbone, pool=pool, hidden=32,
+                                          pre_mlp=(32,), post_mlp=(32,))
+                yield harness.build_model(cfg, data.feature_dim, data.num_classes,
+                                          seed=0, mean_nodes=data.mean_nodes), batches
+
+
 def training_fingerprint(pools=ALL_POOLS) -> str:
     """sha256 of the losses and final parameters of a fixed-seed Adam run.
 
@@ -88,24 +103,37 @@ def training_fingerprint(pools=ALL_POOLS) -> str:
     two commits that compute the same results give the same digest.
     """
     digest = hashlib.sha256()
-    for kind in ("cycles_vs_paths", "two_communities"):
-        data = make_synthetic(kind, 64, seed=5)
-        batches = [make_batch(data.graphs[lo : lo + 16]) for lo in range(0, 64, 16)]
-        for backbone in ("hierarchical", "plain"):
-            for pool in pools:
-                cfg = harness.ModelConfig(backbone=backbone, pool=pool, hidden=32,
-                                          pre_mlp=(32,), post_mlp=(32,))
-                model = harness.build_model(cfg, data.feature_dim, data.num_classes,
-                                            seed=0, mean_nodes=data.mean_nodes)
-                params = model.parameters()
-                opt = diff.Adam(params, lr=0.01)
-                for batch in batches:
-                    with diff.Tape():
-                        loss = diff.cross_entropy(model.forward(batch), batch.labels)
-                    opt.zero_grad()
-                    diff.backward(loss)
-                    opt.step()
-                    digest.update(loss.values.tobytes())
-                for p in params:
-                    digest.update(p.tensor.values.tobytes())
+    for model, batches in _fingerprint_models(pools):
+        params = model.parameters()
+        opt = diff.Adam(params, lr=0.01)
+        for batch in batches:
+            with diff.Tape():
+                loss = diff.cross_entropy(model.forward(batch), batch.labels)
+            opt.zero_grad()
+            diff.backward(loss)
+            opt.step()
+            digest.update(loss.values.tobytes())
+        for p in params:
+            digest.update(p.tensor.values.tobytes())
+    return digest.hexdigest()
+
+
+def gradient_fingerprint(pools=ALL_POOLS) -> str:
+    """sha256 of the loss and every parameter gradient of one taped step,
+    with no optimizer, of each :func:`training_fingerprint` model on its
+    first batch.
+
+    A change that touches only the optimizer moves the training fingerprint
+    but must leave this one equal; it compares checkouts the same way.
+    """
+    digest = hashlib.sha256()
+    for model, batches in _fingerprint_models(pools):
+        batch = batches[0]
+        with diff.Tape():
+            loss = diff.cross_entropy(model.forward(batch), batch.labels)
+        diff.backward(loss)
+        digest.update(loss.values.tobytes())
+        for p in model.parameters():
+            grad = p.tensor.grad
+            digest.update(b"no gradient" if grad is None else grad.tobytes())
     return digest.hexdigest()

@@ -422,6 +422,74 @@ class TestAdamAndCheckpoints:
         with pytest.raises(ValueError):
             Adam([w1, w2])
 
+    @pytest.mark.parametrize("lr", [0.0, -0.01, np.nan, np.inf])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            Adam([Parameter("w", np.zeros((1, 1)))], lr=lr)
+
+    @staticmethod
+    def _adam_case(seed):
+        """A C-ordered weight, a column-major weight, a bias row and a
+        parameter that gets no gradient, with a draw of gradients of random
+        sign and magnitudes from 1e-6 to 10 in each one's own layout."""
+        rng = np.random.default_rng(seed)
+        params = [Parameter("w_c", rng.normal(size=(3, 5))),
+                  Parameter("w_f", np.asfortranarray(rng.normal(size=(5, 4)))),
+                  Parameter("b", rng.normal(size=(1, 4))),
+                  Parameter("no_grad", rng.normal(size=(2, 2)))]
+
+        def draw():
+            grads = []
+            for p in params[:3]:
+                shape = p.tensor.values.shape
+                g = rng.choice((-1.0, 1.0), size=shape) * 10.0 ** rng.uniform(-6, 1, size=shape)
+                g = np.array(g, order="F" if p.name == "w_f" else "C")
+                g.flags.writeable = False
+                grads.append(g)
+            return grads + [None]
+
+        return params, draw
+
+    def test_matches_algorithm_1(self):
+        # the unfolded form: alpha * (m / c1) / (sqrt(v / c2) + eps)
+        lr, b1, b2 = 0.01, 0.9, 0.999
+        params, draw = self._adam_case(seed=17)
+        opt = Adam(params, lr=lr)
+        ref = [p.tensor.values.copy() for p in params]
+        ref_m = [np.zeros_like(q) for q in ref]
+        ref_v = [np.zeros_like(q) for q in ref]
+        for t in range(1, 61):
+            grads = draw()
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            for q, m, v, g in zip(ref, ref_m, ref_v, grads):
+                g = np.zeros_like(q) if g is None else g
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                q -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+            for p, g in zip(params, grads):
+                p.tensor.grad = g
+            opt.step()
+            for i, p in enumerate(params):
+                assert opt._m[i].tobytes() == ref_m[i].tobytes()
+                assert opt._v[i].tobytes() == ref_v[i].tobytes()
+                np.testing.assert_allclose(p.tensor.values, ref[i], rtol=0, atol=1e-12 * lr)
+        assert params[1].tensor.values.flags.f_contiguous
+
+    def test_first_step_moves_each_coordinate_by_lr_g_over_abs_g_plus_eps(self):
+        lr = 0.01
+        params, draw = self._adam_case(seed=29)
+        before = [p.tensor.values.copy() for p in params]
+        grads = draw()
+        for p, g in zip(params, grads):
+            p.tensor.grad = g
+        Adam(params, lr=lr).step()
+        for p, q, g in zip(params, before, grads):
+            g = np.zeros_like(q) if g is None else g
+            np.testing.assert_allclose(q - p.tensor.values, lr * g / (np.abs(g) + 1e-8),
+                                       rtol=0, atol=1e-12 * lr)
+
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(9)
         params = [Parameter(f"layer.{i}.w", rng.normal(size=(3, 3))) for i in range(3)]

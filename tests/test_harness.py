@@ -8,7 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import circulant_pair, path4, random_adjacency_dense, training_fingerprint
+from helpers import (
+    circulant_pair,
+    gradient_fingerprint,
+    path4,
+    random_adjacency_dense,
+    training_fingerprint,
+)
 from graphpool import diff, harness, layers, selfcheck, sparse
 from graphpool.dataset import Graph, make_batch, make_synthetic, split
 from graphpool.harness import (
@@ -391,6 +397,9 @@ class TestTraining:
     def test_training_fingerprint_is_deterministic(self):
         # reading a buffer before it is written would make two runs differ
         assert training_fingerprint() == training_fingerprint()
+
+    def test_gradient_fingerprint_is_deterministic(self):
+        assert gradient_fingerprint() == gradient_fingerprint()
 
 
 class TestRanking:
